@@ -116,7 +116,9 @@ func AdaptivePulseSteady(seed uint64) func(b *testing.B) {
 
 // AdaptivePulseLazySparse measures the sparse-traffic adaptation cycle:
 // fresh utilization on one link, an invalidating pulse, then routes from
-// 16 sources — the per-source lazy builds, not all-pairs.
+// 16 sources — the per-source lazy builds, not all-pairs. It reports
+// settles/op, the nodes those builds settle: each tree is settled only as
+// far as its destination, which is what end-to-end runs save.
 func AdaptivePulseLazySparse(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -136,6 +138,7 @@ func AdaptivePulseLazySparse(seed uint64) func(b *testing.B) {
 				r.NextHop("qos", src, (src+n/2)%n)
 			}
 		}
+		b.ReportMetric(float64(r.Settles)/float64(b.N), "settles/op")
 	}
 }
 

@@ -73,7 +73,10 @@ func TestPulseGateSkipsUnchangedInputs(t *testing.T) {
 // scripts through a lazy-only router and eager-Rebuild routers at
 // several worker counts, and requires identical routing decisions from
 // all of them — the determinism argument for the parallel fan-out and
-// for lazy evaluation at once.
+// for lazy evaluation at once. Every pulse is followed by a few routes
+// before Rebuild, so Rebuild meets current-generation trees that are
+// only partially settled and must finish them: after the eager script
+// the all-pairs sweep finds every table complete and settles nothing.
 func TestLazyEagerParallelIdentical(t *testing.T) {
 	build := func() (*Adaptive, *topo.Graph) {
 		g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11))
@@ -93,7 +96,15 @@ func TestLazyEagerParallelIdentical(t *testing.T) {
 				g.SetUp(r.Intn(g.Links()), false)
 			}
 			a.Pulse()
+			// Settle a few trees part of the way: destination-bounded
+			// builds leave them current but partial.
+			for k := 0; k < 4; k++ {
+				a.NextHop("", topo.NodeID(r.Intn(g.N())), topo.NodeID(r.Intn(g.N())))
+			}
 			if eager {
+				if a.Settles >= a.LazyBuilds*uint64(g.N()) {
+					t.Fatal("script built no partial tree before Rebuild")
+				}
 				a.Rebuild()
 			}
 			// Touch a few sources mid-script so lazy and eager interleave.
@@ -108,6 +119,7 @@ func TestLazyEagerParallelIdentical(t *testing.T) {
 	}{{1, true}, {4, true}, {8, true}, {3, false}} {
 		a, g := build()
 		run(a, g, cfg.workers, cfg.eager)
+		builds, settles := a.LazyBuilds, a.Settles
 		for _, ov := range []string{"", "qos", "bulk"} {
 			for src := 0; src < g.N(); src++ {
 				for dst := 0; dst < g.N(); dst++ {
@@ -119,6 +131,10 @@ func TestLazyEagerParallelIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+		if cfg.eager && (a.LazyBuilds != builds || a.Settles != settles) {
+			t.Fatalf("workers=%d: all-pairs sweep after Rebuild began %d trees and settled %d nodes, want none",
+				cfg.workers, a.LazyBuilds-builds, a.Settles-settles)
 		}
 	}
 }
@@ -164,7 +180,9 @@ func TestPulseSeesAddedNodes(t *testing.T) {
 }
 
 // TestAdaptiveNextHopAllocationFree pins the forwarding-path lookup —
-// once per hop per packet — at 0 allocs/op on warm tables.
+// once per hop per packet — at 0 allocs/op on warm tables, both complete
+// ones and ones begun afresh after an invalidating pulse and settled
+// only as far as the destination.
 func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 	g := topo.ConnectedWaxman(32, 0.4, 0.3, sim.NewRNG(3))
 	a := NewAdaptive(g, 2)
@@ -177,6 +195,13 @@ func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 		a.NextHop("qos", 1, dst)
 		a.NextHop("nosuch", 2, dst) // fallback path included
 	}, "(*Adaptive).NextHop")
+	i := 0
+	allocpin.Zero(t, 200, func() {
+		i++
+		a.ObserveUtilization(i%g.Links(), float64(i%5)/8) // reopens the pulse gate
+		a.Pulse()
+		a.NextHop("qos", topo.NodeID(i%g.N()), dst)
+	}, "(*Adaptive).NextHop", "(*Adaptive).spt")
 }
 
 // TestLazyBuildsCountSparseTraffic checks that a post-invalidation pulse
@@ -192,5 +217,57 @@ func TestLazyBuildsCountSparseTraffic(t *testing.T) {
 	a.NextHop("", 7, 24)
 	if built := a.LazyBuilds - before; built != 2 {
 		t.Fatalf("lazy builds = %d, want 2 (sources 0 and 7)", built)
+	}
+}
+
+// TestSettlesBoundedByDestination checks that a lazy table is settled
+// only as far as the destinations asked of it: a neighbour costs a few
+// settles, the far corner the rest, and asking again costs nothing.
+func TestSettlesBoundedByDestination(t *testing.T) {
+	g := topo.Grid(5, 5)
+	a := NewAdaptive(g, 2)
+	a.Pulse()
+	settle := func(dst topo.NodeID) uint64 {
+		before := a.Settles
+		a.NextHop("", 0, dst)
+		return a.Settles - before
+	}
+	if n := settle(1); n == 0 || n > 3 {
+		t.Fatalf("route to a neighbour settled %d nodes, want 1..3", n)
+	}
+	if n := settle(24); a.Settles != 25 {
+		t.Fatalf("route to the far corner settled %d more, %d in all; want all 25", n, a.Settles)
+	}
+	if n := settle(1) + settle(24); n != 0 {
+		t.Fatalf("repeated routes settled %d nodes, want 0", n)
+	}
+}
+
+// TestPathOnPartialTreeIsFull checks that Path on a tree settled only
+// toward a nearer destination still returns the whole path, equal to an
+// eagerly rebuilt router's, for every destination in turn.
+func TestPathOnPartialTreeIsFull(t *testing.T) {
+	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(5))
+	lazy, eager := NewAdaptive(g, 2), NewAdaptive(g, 2)
+	for _, a := range []*Adaptive{lazy, eager} {
+		a.ObserveUtilization(0, 0.7)
+		a.Pulse()
+	}
+	eager.Rebuild()
+	const src = 3
+	lazy.NextHop("", src, src+1)
+	if lazy.Settles >= uint64(g.N()) {
+		t.Fatalf("first route settled %d of %d nodes; the tree is not partial", lazy.Settles, g.N())
+	}
+	for dst := g.N() - 1; dst >= 0; dst-- {
+		got, want := lazy.Path("", src, topo.NodeID(dst)), eager.Path("", src, topo.NodeID(dst))
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("path %d→%d = %v, eager %v", src, dst, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("path %d→%d = %v, eager %v", src, dst, got, want)
+			}
+		}
 	}
 }

@@ -8,10 +8,11 @@
 //
 // # Control-plane design
 //
-// All four routers are built on the topo package's scratch-based
-// shortest-path kernels (topo.SPTScratch / Graph.ComputeInto for
-// Dijkstra, topo.BFSScratch / Graph.BFSInto for floods), so steady-state
-// recomputation allocates nothing.
+// All four routers are built on the topo package's reusable-memory
+// shortest-path kernels (topo.SPTScratch / Graph.ComputeInto and
+// topo.CostOverlay.BeginInto for Dijkstra, topo.BFSScratch /
+// Graph.BFSInto for floods), so steady-state recomputation allocates
+// nothing.
 //
 // The adaptive router is additionally incremental end to end:
 //
@@ -25,13 +26,23 @@
 //     invalidation, the pulse is a counter bump plus one slice compare.
 //   - Invalidation is O(links), not O(n · Dijkstra): it refreshes the
 //     cost snapshots and bumps a generation number. Each source's tree is
-//     rebuilt lazily on its first NextHop/Path after that, so
-//     sparse-traffic scenarios never pay the all-pairs cost.
+//     begun lazily on its first NextHop/Path after that, so sparse-traffic
+//     scenarios never pay the all-pairs cost.
+//   - Trees are destination-bounded and resumable: NextHop/Path settle a
+//     source's tree only until the queried destination is settled
+//     (topo.SPT.SettleTo), and the tree keeps its Dijkstra frontier so a
+//     farther destination later resumes the same run. Routing output
+//     cannot move: the kept frontier is the lazy-deletion heap verbatim,
+//     so nodes settle in exactly the order of a full run, and a settled
+//     node's distance, predecessor and first hop — tie-breaks included —
+//     are the full tree's. A destination's path settles before it does.
 //   - Rebuild forces the all-pairs computation eagerly, fanning sources
-//     over a worker pool. Sources are independent, every worker owns a
-//     private scratch and a disjoint range of table slots, and the
-//     per-source computation is deterministic — so the resulting tables
-//     are byte-identical to the lazy/serial path for every worker count.
+//     over a worker pool: it begins stale trees and finishes partially
+//     settled ones. Sources are independent, every worker owns a
+//     disjoint range of table slots (each tree carries its own frontier),
+//     and the per-source computation is deterministic — so the resulting
+//     tables are byte-identical to the lazy/serial path for every worker
+//     count.
 package routing
 
 import (
@@ -268,14 +279,14 @@ type overlay struct {
 	// costOf prices one link for this overlay; one persistent closure
 	// for the overlay's life, handed to Graph.CaptureInto.
 	costOf func(li int) float64
-	// gen/stamp implement O(1) invalidation: tables[i] is valid iff
-	// stamp[i] == gen, so bumping gen invalidates every source without
-	// touching the table memory (which is reused by the next build).
+	// gen/stamp implement O(1) invalidation: tables[i] was begun from the
+	// current capture iff stamp[i] == gen, so bumping gen invalidates
+	// every source without touching the table memory (which is reused by
+	// the next build). A current table may still be partial: it is settled
+	// only as far as the destinations asked of it so far.
 	gen    uint64
 	stamp  []uint64
 	tables []*topo.SPT
-	sc     topo.SPTScratch
-	wsc    []*topo.SPTScratch // per-worker scratches for Rebuild
 }
 
 // Adaptive is the WLI QoS router: link costs blend propagation cost with
@@ -306,12 +317,13 @@ type Adaptive struct {
 
 	// Pulses counts Pulse calls; Recomputes counts pulses that found
 	// changed inputs and invalidated the tables; SkippedPulses counts
-	// gated no-ops; LazyBuilds counts single-source table builds done on
-	// demand by NextHop/Path.
+	// gated no-ops; LazyBuilds counts single-source tables begun on demand
+	// by NextHop/Path, and Settles the nodes those calls settled in them.
 	Pulses        int
 	Recomputes    int
 	SkippedPulses int
 	LazyBuilds    uint64
+	Settles       uint64
 }
 
 // NewAdaptive creates the adaptive router with a default overlay "" of
@@ -400,24 +412,28 @@ func (a *Adaptive) invalidate(o *overlay) {
 	o.gen++
 }
 
-// spt returns the overlay's table for src, building it from the frozen
-// cost snapshot if it is stale. The build reuses the table's and the
-// scratch's memory, so steady-state rebuilds allocate nothing.
-func (a *Adaptive) spt(o *overlay, src topo.NodeID) *topo.SPT {
+// spt returns the overlay's table for src settled at least as far as
+// dst, beginning it from the frozen cost snapshot if it is stale. Both
+// steps reuse the table's memory, its frontier heap included, so steady
+// state allocates nothing.
+//
+//viator:noalloc
+func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
 	if int(src) >= len(o.tables) {
 		return nil // node added after the snapshot; no route yet
 	}
+	t := o.tables[src]
 	if o.stamp[src] != o.gen {
-		t := o.tables[src]
 		if t == nil {
-			t = &topo.SPT{}
+			t = &topo.SPT{} //viator:alloc-ok one table per source for the router's life; later builds reuse it
 			o.tables[src] = t
 		}
-		o.ov.ComputeOverlayInto(&o.sc, t, src)
+		o.ov.BeginInto(t, src)
 		o.stamp[src] = o.gen
 		a.LazyBuilds++
 	}
-	return o.tables[src]
+	a.Settles += uint64(t.SettleTo(dst))
+	return t
 }
 
 // lookup resolves an overlay name, falling back to the default overlay —
@@ -482,13 +498,15 @@ func (a *Adaptive) Pulse() {
 	a.Recomputes++
 }
 
-// Rebuild forces every overlay's stale tables to be computed now, fanning
+// Rebuild forces every overlay's tables to be complete now — stale ones
+// begun afresh, current but partially settled ones finished — fanning
 // sources across the worker pool (Workers; 0 = GOMAXPROCS). Sources are
-// independent, each worker owns a private scratch and a disjoint range of
-// table slots, and each per-source computation is deterministic, so the
-// tables are byte-identical to the lazy/serial path for every worker
-// count. Callers that prefer paying the all-pairs cost upfront use it;
-// the simulation loop relies on lazy per-source builds instead.
+// independent, each worker owns a disjoint range of table slots (each
+// table carries its own frontier), and each per-source computation is
+// deterministic, so the tables are byte-identical to the lazy/serial
+// path for every worker count. Callers that prefer paying the all-pairs
+// cost upfront use it; the simulation loop relies on lazy per-source
+// builds instead.
 func (a *Adaptive) Rebuild() {
 	for _, name := range a.order {
 		a.rebuildOverlay(a.overlays[name])
@@ -515,16 +533,8 @@ func (a *Adaptive) rebuildOverlay(o *overlay) {
 		}
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if o.stamp[i] != o.gen {
-				o.ov.ComputeOverlayInto(&o.sc, o.tables[i], topo.NodeID(i))
-				o.stamp[i] = o.gen
-			}
-		}
+		o.complete(0, n)
 		return
-	}
-	for len(o.wsc) < workers {
-		o.wsc = append(o.wsc, &topo.SPTScratch{})
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -537,23 +547,31 @@ func (a *Adaptive) rebuildOverlay(o *overlay) {
 			break
 		}
 		wg.Add(1)
-		go func(sc *topo.SPTScratch, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if o.stamp[i] != o.gen {
-					o.ov.ComputeOverlayInto(sc, o.tables[i], topo.NodeID(i))
-					o.stamp[i] = o.gen
-				}
-			}
-		}(o.wsc[w], lo, hi)
+			o.complete(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }
 
+// complete finishes the tables of sources [lo, hi): stale ones are begun
+// afresh from the current capture, and every one is settled to the end.
+func (o *overlay) complete(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if o.stamp[i] != o.gen {
+			o.ov.BeginInto(o.tables[i], topo.NodeID(i))
+			o.stamp[i] = o.gen
+		}
+		o.tables[i].Complete()
+	}
+}
+
 // NextHop routes within an overlay; unknown overlays fall back to the
 // default overlay. It returns -1 when dst is unreachable. The overlay's
-// table for src is built on first use after an invalidation, so callers
-// touching few sources never pay the all-pairs cost.
+// table for src is begun on first use after an invalidation and settled
+// only as far as dst, so callers touching few sources and near
+// destinations never pay the all-pairs cost.
 //
 //viator:noalloc
 func (a *Adaptive) NextHop(overlay string, src, dst topo.NodeID) topo.NodeID {
@@ -564,20 +582,21 @@ func (a *Adaptive) NextHop(overlay string, src, dst topo.NodeID) topo.NodeID {
 	if int(dst) >= o.ov.N() {
 		return -1 // node added after the capture: no route until a pulse
 	}
-	t := a.spt(o, src)
+	t := a.spt(o, src, dst)
 	if t == nil {
 		return -1
 	}
 	return t.NextHop(dst)
 }
 
-// Path returns the overlay path src→dst, or nil.
+// Path returns the overlay path src→dst, or nil. Settling dst settles
+// every node on its path first, so the path is the full tree's.
 func (a *Adaptive) Path(overlay string, src, dst topo.NodeID) []topo.NodeID {
 	o := a.lookup(overlay)
 	if int(dst) >= o.ov.N() {
 		return nil // node added after the capture: no route until a pulse
 	}
-	t := a.spt(o, src)
+	t := a.spt(o, src, dst)
 	if t == nil {
 		return nil
 	}

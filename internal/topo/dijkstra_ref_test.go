@@ -201,12 +201,121 @@ func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 		oracle.SetCost(li, reweight[li])
 	}
 	for s := 0; s < g.N(); s++ {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
+		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
 	}
 	// Mutate the live graph heavily; the capture must not move.
 	churn(g, rng)
 	for s := 0; s < g.N(); s += 3 {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
+		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
+	}
+}
+
+// TestResumableOverlayMatchesReferenceStepwise pins the destination-
+// bounded run against the oracle one query at a time, on churned Waxman
+// graphs with an isolated node and random query sequences that include
+// dst == src, the unreachable node and repeated destinations. After every
+// SettleTo each settled node must already carry the oracle's Dist, Prev
+// and first hop, and every node not settled must report no hop; after
+// Complete the whole tree must equal the oracle exactly. One tree is
+// reused across sources and rounds, so stale trees — complete ones and
+// partial ones with a live frontier — are begun again over their own
+// retained heap.
+func TestResumableOverlayMatchesReferenceStepwise(t *testing.T) {
+	rng := sim.NewRNG(2024)
+	spt := &SPT{}
+	var ov CostOverlay
+	for trial := 0; trial < 6; trial++ {
+		g := Waxman(40, 0.3, 0.3, rng)
+		if g.Links() == 0 {
+			g.ConnectBoth(0, 1, 1)
+		}
+		for round := 0; round < 3; round++ {
+			churn(g, rng)
+			isolated := g.AddNode() // after churn, which may link any node
+			reweight := make([]float64, g.Links())
+			for li := range reweight {
+				reweight[li] = float64(rng.Intn(4)) // small integers force equal-cost ties
+			}
+			g.CaptureInto(&ov, func(li int) float64 { return reweight[li] })
+			oracle := g.Clone()
+			for li := 0; li < oracle.Links(); li++ {
+				oracle.SetCost(li, reweight[li])
+			}
+			for s := 0; s < g.N(); s += 7 {
+				src := NodeID(s)
+				ref := referenceDijkstra(oracle, src)
+				if src != isolated && !math.IsInf(ref.Dist[isolated], 1) {
+					t.Fatal("isolated node is reachable")
+				}
+				ov.BeginInto(spt, src)
+				total := 0
+				queries := []NodeID{src}
+				for k := 0; k < 8; k++ {
+					queries = append(queries, NodeID(rng.Intn(g.N())))
+				}
+				queries = append(queries, queries[len(queries)-1])
+				// Every other tree is left partial for the next BeginInto to
+				// reuse with a live frontier; the unreachable query, which
+				// drains the frontier, goes to the others.
+				partial := s%14 == 7
+				if !partial {
+					queries = append(queries, isolated)
+				}
+				for _, dst := range queries {
+					total += spt.SettleTo(dst)
+					if again := spt.SettleTo(dst); again != 0 {
+						t.Fatalf("repeated SettleTo(%d) settled %d more nodes", dst, again)
+					}
+					expectSettledPrefix(t, spt, ref, total)
+					if !math.IsInf(ref.Dist[dst], 1) && !spt.isSettled(dst) {
+						t.Fatalf("src %d: reachable dst %d not settled by SettleTo", src, dst)
+					}
+				}
+				if partial {
+					continue
+				}
+				total += spt.Complete()
+				expectEqualSPT(t, spt, ref)
+				reach := 0
+				for _, d := range ref.Dist {
+					if !math.IsInf(d, 1) {
+						reach++
+					}
+				}
+				if total != reach || spt.Complete() != 0 {
+					t.Fatalf("src %d: settled %d nodes in all, %d reachable", src, total, reach)
+				}
+			}
+		}
+	}
+}
+
+// expectSettledPrefix checks a partial tree against the oracle: settled
+// nodes match it exactly, the others have no hop yet, and the settled
+// count equals what the SettleTo calls reported.
+func expectSettledPrefix(t *testing.T, got, ref *SPT, total int) {
+	t.Helper()
+	settled := 0
+	for i := range ref.Dist {
+		v := NodeID(i)
+		if !got.isSettled(v) {
+			if hop := got.NextHop(v); hop != -1 {
+				t.Fatalf("unsettled node %d reports hop %d", v, hop)
+			}
+			continue
+		}
+		settled++
+		wantHop := NodeID(-1)
+		if p := ref.PathTo(v); len(p) >= 2 {
+			wantHop = p[1]
+		}
+		if got.Dist[v] != ref.Dist[v] || got.Prev[v] != ref.Prev[v] || got.NextHop(v) != wantHop {
+			t.Fatalf("settled node %d: dist/prev/hop %v/%d/%d, reference %v/%d/%d",
+				v, got.Dist[v], got.Prev[v], got.NextHop(v), ref.Dist[v], ref.Prev[v], wantHop)
+		}
+	}
+	if settled != total {
+		t.Fatalf("%d nodes settled, SettleTo reported %d", settled, total)
 	}
 }
 
@@ -221,7 +330,11 @@ func TestComputeIntoAllocationFree(t *testing.T) {
 	var ov CostOverlay
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 	allocpin.Zero(t, 50, func() { g.ComputeInto(sc, spt, 3) }, "(*Graph).ComputeInto")
-	allocpin.Zero(t, 50, func() { ov.ComputeOverlayInto(sc, spt, 5) }, "(*CostOverlay).ComputeOverlayInto")
+	allocpin.Zero(t, 50, func() { ov.ComputeOverlayInto(spt, 5) }, "(*CostOverlay).ComputeOverlayInto")
+	allocpin.Zero(t, 50, func() {
+		ov.BeginInto(spt, 7)
+		spt.SettleTo(NodeID(g.N() - 1))
+	}, "(*CostOverlay).BeginInto", "(*SPT).SettleTo")
 	allocpin.Zero(t, 50, func() { g.CaptureInto(&ov, func(li int) float64 { return 1 }) }, "(*Graph).CaptureInto")
 }
 

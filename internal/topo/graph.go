@@ -254,20 +254,58 @@ func spPop(h []spItem) ([]spItem, spItem) {
 }
 
 // SPT holds a single-source shortest path tree.
+//
+// A tree begun from a CostOverlay (BeginInto) may be partial: Dijkstra
+// settles nodes in a fixed order, and SettleTo runs that order only as
+// far as one destination needs, keeping the frontier on the tree so a
+// later SettleTo or Complete resumes exactly where it stopped. Dist, Prev
+// and NextHop of every settled node are final and equal to the full
+// run's; for nodes not yet settled Dist and Prev are tentative and
+// NextHop is -1.
 type SPT struct {
 	Source NodeID
 	Dist   []float64 // +Inf when unreachable
 	Prev   []NodeID  // -1 at source / unreachable
-	next   []NodeID  // first hop toward each node; -1 at source / unreachable
+	// next is the first hop toward each settled node; -1 at the source
+	// and at nodes not (yet) settled, which makes it the settled set too.
+	// int32 halves the table; CaptureInto refuses graphs it cannot index.
+	next []int32
+
+	// Frontier of a resumable run: the overlay it runs over, the
+	// lazy-deletion heap verbatim (its slice layout decides equal-distance
+	// pop order, so it is never rebuilt or compacted) and the number of
+	// nodes settled so far — nonzero exactly when the source is settled.
+	ov      *CostOverlay
+	heap    []spItem
+	settled int
 }
 
-// SPTScratch is the reusable working memory of a shortest-path
-// computation: the priority queue and the settled set. One scratch serves
-// any number of sequential ComputeInto calls over graphs of any size; it
-// is not safe for concurrent use — parallel callers hold one scratch each.
+// reset sizes t for n nodes and clears it to the empty tree rooted at
+// src, reusing every backing array, the heap's included.
+//
+//viator:noalloc
+func (t *SPT) reset(n int, src NodeID) {
+	t.Source = src
+	t.Dist = resize(t.Dist, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+	t.Prev = resize(t.Prev, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+	for i := 0; i < n; i++ {
+		t.Dist[i] = math.Inf(1)
+		t.Prev[i] = -1
+		t.next[i] = -1
+	}
+	t.ov = nil
+	t.heap = t.heap[:0]
+	t.settled = 0
+}
+
+// SPTScratch is the reusable working memory of a live-graph
+// shortest-path computation: its priority queue. One scratch serves any
+// number of sequential ComputeInto calls over graphs of any size; it is
+// not safe for concurrent use — parallel callers hold one scratch each.
+// Runs over a CostOverlay keep their queue on the tree instead.
 type SPTScratch struct {
 	heap []spItem
-	done []bool
 }
 
 // resize returns s with length n, reusing its backing array when large
@@ -338,11 +376,15 @@ func (o *CostOverlay) N() int { return o.n }
 // CaptureInto (re)builds o from g's current up links, pricing link li at
 // costOf(li). Negative costs panic here, at capture time — the same
 // pulse-step timing at which the pre-overlay design ran Dijkstra and
-// panicked. Down links are excluded entirely.
+// panicked. Down links are excluded entirely. Trees index nodes and hops
+// as int32, so a graph beyond that range panics here too.
 //
 //viator:noalloc
 func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 	n := g.n
+	if n > math.MaxInt32 {
+		panic("topo: graph too large for an int32 hop table") //viator:alloc-ok panic path: no simulated network approaches 2^31 nodes
+	}
 	o.n = n
 	o.start = resize(o.start, n+1) //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
 	o.to = o.to[:0]
@@ -365,55 +407,101 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 	o.start[n] = int32(len(o.to))
 }
 
-// ComputeOverlayInto computes the shortest-path tree from src over a
-// captured CostOverlay, with the same memory-reuse contract as
-// ComputeInto. The live graph is not consulted: topology and costs are
-// exactly as captured. Relaxation order equals capture-time adjacency
-// order, so the tree — including every equal-cost tie-break — is
-// identical to Dijkstra run at capture time.
+// ComputeOverlayInto computes the full shortest-path tree from src over
+// a captured CostOverlay: BeginInto followed by Complete. The live graph
+// is not consulted: topology and costs are exactly as captured.
+// Relaxation order equals capture-time adjacency order, so the tree —
+// including every equal-cost tie-break — is identical to Dijkstra run at
+// capture time. A nil t is allocated; a reused t allocates nothing once
+// its slices have grown to the overlay.
 //
 //viator:noalloc
-func (o *CostOverlay) ComputeOverlayInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
-	if sc == nil {
-		sc = &SPTScratch{}
-	}
+func (o *CostOverlay) ComputeOverlayInto(t *SPT, src NodeID) *SPT {
+	t = o.BeginInto(t, src)
+	t.Complete()
+	return t
+}
+
+// BeginInto starts a resumable shortest-path run from src over o in t:
+// it clears the tree, reusing its slices and its own heap, and pushes
+// src. Nothing is settled until SettleTo or Complete runs. The tree keeps
+// a reference to o, which must not be recaptured while the tree is still
+// being settled.
+//
+//viator:noalloc
+func (o *CostOverlay) BeginInto(t *SPT, src NodeID) *SPT {
 	if t == nil {
 		t = &SPT{} //viator:alloc-ok nil-target convenience path; hot callers pass a reusable *SPT
 	}
-	n := o.n
-	t.Source = src
-	t.Dist = resize(t.Dist, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	t.Prev = resize(t.Prev, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	for i := 0; i < n; i++ {
-		t.Dist[i] = math.Inf(1)
-		t.Prev[i] = -1
-		t.next[i] = -1
+	t.reset(o.n, src)
+	t.ov = o
+	t.Dist[src] = 0
+	t.heap = spPush(t.heap, spItem{src, 0})
+	return t
+}
+
+// SettleTo resumes the run until dst is settled or the frontier is empty
+// (dst unreachable), and returns the number of nodes it settled — zero
+// when dst was already settled. Because the frontier is kept verbatim,
+// the settle order is the full run's, so dst's Dist, Prev and NextHop
+// (and those of every node settled before it, its whole path included)
+// equal the full tree's. Trees not begun by BeginInto are complete and
+// settle nothing.
+//
+//viator:noalloc
+func (t *SPT) SettleTo(dst NodeID) int {
+	if t.isSettled(dst) {
+		return 0
 	}
-	sc.done = resize(sc.done, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	for i := range sc.done {
-		sc.done[i] = false
+	return t.settle(dst)
+}
+
+// isSettled reports whether the run has settled v: a hop is recorded at
+// settle time for every node but the source, which is settled first.
+func (t *SPT) isSettled(v NodeID) bool {
+	return t.next[v] != -1 || (v == t.Source && t.settled > 0)
+}
+
+// Complete runs the tree to exhaustion and returns the number of nodes
+// it settled; on a complete tree it is a no-op.
+//
+//viator:noalloc
+func (t *SPT) Complete() int { return t.settle(-1) }
+
+// settle is the overlay relaxation loop: it pops the frontier, settling
+// each node at its first (cheapest) pop and skipping the stale entries
+// lazy deletion leaves behind, until it has settled stop (never, for -1)
+// or the frontier is empty.
+//
+//viator:noalloc
+func (t *SPT) settle(stop NodeID) int {
+	h := t.heap
+	if len(h) == 0 {
+		return 0
 	}
-	dist, prev, next := t.Dist, t.Prev, t.next
-	done, start, tos, costs := sc.done, o.start, o.to, o.cost
-	h := sc.heap[:0]
-	dist[src] = 0
-	h = spPush(h, spItem{src, 0})
+	// Hoist every slice the loop touches into locals so the compiler keeps
+	// them in registers across iterations.
+	src, dist, prev, next := t.Source, t.Dist, t.Prev, t.next
+	start, tos, costs := t.ov.start, t.ov.to, t.ov.cost
+	settled := t.settled
 	for len(h) > 0 {
 		var it spItem
 		h, it = spPop(h)
 		u := it.node
-		if done[u] {
-			continue
+		if next[u] != -1 || (u == src && settled > 0) {
+			continue // stale entry: u is settled (see isSettled)
 		}
-		done[u] = true
+		// Settle-time next-hop fill: u's predecessor settled before u did
+		// and Prev[u] is final here, so the first hop toward u is an O(1)
+		// read off the predecessor's entry.
 		if u != src {
 			if p := prev[u]; p == src {
-				next[u] = u
+				next[u] = int32(u)
 			} else {
 				next[u] = next[p]
 			}
 		}
+		settled++
 		du := dist[u]
 		for e, end := start[u], start[u+1]; e < end; e++ {
 			to := tos[e]
@@ -424,9 +512,13 @@ func (o *CostOverlay) ComputeOverlayInto(sc *SPTScratch, t *SPT, src NodeID) *SP
 				h = spPush(h, spItem{to, nd})
 			}
 		}
+		if u == stop {
+			break
+		}
 	}
-	sc.heap = h
-	return t
+	n := settled - t.settled
+	t.heap, t.settled = h, settled
+	return n
 }
 
 func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64, useCosts bool) *SPT {
@@ -436,47 +528,34 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 	if t == nil {
 		t = &SPT{}
 	}
-	n := g.n
-	t.Source = src
-	t.Dist = resize(t.Dist, n)
-	t.Prev = resize(t.Prev, n)
-	t.next = resize(t.next, n)
-	for i := 0; i < n; i++ {
-		t.Dist[i] = math.Inf(1)
-		t.Prev[i] = -1
-		t.next[i] = -1
-	}
-	sc.done = resize(sc.done, n)
-	for i := range sc.done {
-		sc.done[i] = false
-	}
+	t.reset(g.n, src)
 	// Hoist every slice the relaxation loop touches into locals so the
 	// compiler keeps them in registers across iterations.
-	dist, prev, next := t.Dist, t.Prev, t.next
-	done, links := sc.done, g.link
+	dist, prev, next, links := t.Dist, t.Prev, t.next, g.link
 	inf := math.Inf(1)
 	h := sc.heap[:0]
 	dist[src] = 0
 	h = spPush(h, spItem{src, 0})
+	settled := 0
 	for len(h) > 0 {
 		var it spItem
 		h, it = spPop(h)
 		u := it.node
-		if done[u] {
-			continue
+		if next[u] != -1 || (u == src && settled > 0) {
+			continue // stale entry: u is settled (see isSettled)
 		}
-		done[u] = true
 		// Settle-time next-hop fill: u's predecessor settled before u did
 		// and Prev[u] is final here, so the first hop toward u is an O(1)
 		// read off the predecessor's entry. This is what makes SPT.NextHop
 		// an array lookup instead of a path reconstruction.
 		if u != src {
 			if p := prev[u]; p == src {
-				next[u] = u
+				next[u] = int32(u)
 			} else {
 				next[u] = next[p]
 			}
 		}
+		settled++
 		du := dist[u]
 		for _, li := range g.adj[u] {
 			var c float64
@@ -506,7 +585,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 			}
 		}
 	}
-	sc.heap = h
+	sc.heap, t.settled = h, settled
 	return t
 }
 
@@ -534,7 +613,7 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 //viator:noalloc
 func (t *SPT) NextHop(dst NodeID) NodeID {
 	if t.next != nil {
-		return t.next[dst]
+		return NodeID(t.next[dst])
 	}
 	// Hand-assembled trees have no hop table; walk the predecessor chain.
 	if math.IsInf(t.Dist[dst], 1) || dst == t.Source {
