@@ -208,14 +208,13 @@ func BenchmarkAdaptiveNextHop(b *testing.B) {
 	benchprobe.AdaptiveNextHop(42)(b)
 }
 
-// BenchmarkConnectivity{Oracle,Grid,Incremental} measure the radio-range
-// refresh at S1 scale (1000 mobile ships, radius 75) in its three forms:
-// the brute-force O(n²) oracle, the spatial-hash grid path (same flap
-// semantics), and the incremental diff path the simulation loop runs
-// (0 allocs/op in steady state). All three replay the same fixed frame
-// cycle, so the numbers are directly comparable. Bodies are shared with
-// `viatorbench -bench-mobility` via internal/benchprobe.
-func BenchmarkConnectivityOracle(b *testing.B)      { benchprobe.ConnectivityOracle(42)(b) }
+// BenchmarkConnectivity{Grid,Incremental} measure the radio-range
+// refresh at S1 scale (1000 mobile ships, radius 75) in two forms: the
+// spatial-hash grid path (every link cycled down/up) and the incremental
+// diff path the simulation loop runs (0 allocs/op in steady state). Both
+// replay the same fixed frame cycle, so the numbers are directly
+// comparable. Bodies are shared with `viatorbench -bench mobility` via
+// internal/benchprobe.
 func BenchmarkConnectivityGrid(b *testing.B)        { benchprobe.ConnectivityGrid(42)(b) }
 func BenchmarkConnectivityIncremental(b *testing.B) { benchprobe.ConnectivityIncremental(42)(b) }
 
@@ -239,22 +238,14 @@ func BenchmarkRecorderTick(b *testing.B)       { benchprobe.RecorderTick(b) }
 func BenchmarkScorecardDelivered(b *testing.B) { benchprobe.ScorecardDelivered(b) }
 
 // BenchmarkPrinciples* measure the principle engines' steady-state hot
-// paths at the S2 fleet size, each next to a body doing the
-// pre-refactor per-op work (Describe-based probes, map-keyed pair
-// counts, full-table emergence scans, linear subscription scans) — the
-// speedup evidence for the scale-discipline refactor. Bodies are shared
-// with `viatorbench -bench principles` via internal/benchprobe.
+// paths at the S2 fleet size. Bodies are shared with `viatorbench -bench
+// principles` via internal/benchprobe.
 func BenchmarkPrinciplesGossipRound(b *testing.B)         { benchprobe.GossipRound(42)(b) }
-func BenchmarkPrinciplesGossipRoundDescribe(b *testing.B) { benchprobe.GossipRoundDescribe(42)(b) }
 func BenchmarkPrinciplesFormClustersSteady(b *testing.B)  { benchprobe.FormClustersSteady(42)(b) }
 func BenchmarkPrinciplesFormClustersRebuild(b *testing.B) { benchprobe.FormClustersRebuild(42)(b) }
-func BenchmarkPrinciplesFormClustersScan(b *testing.B)    { benchprobe.FormClustersScan(42)(b) }
 func BenchmarkPrinciplesObserveFacts(b *testing.B)        { benchprobe.ObserveFacts(42)(b) }
-func BenchmarkPrinciplesObserveFactsMap(b *testing.B)     { benchprobe.ObserveFactsMap(42)(b) }
 func BenchmarkPrinciplesEmergeFrontier(b *testing.B)      { benchprobe.EmergeFrontier(42)(b) }
-func BenchmarkPrinciplesEmergeScan(b *testing.B)          { benchprobe.EmergeScan(42)(b) }
 func BenchmarkPrinciplesFeedbackPublishKey(b *testing.B)  { benchprobe.FeedbackPublishKey(b) }
-func BenchmarkPrinciplesFeedbackPublishScan(b *testing.B) { benchprobe.FeedbackPublishScan(b) }
 func BenchmarkPrinciplesMetamorphPulse(b *testing.B)      { benchprobe.MetamorphPulse(42)(b) }
 
 func BenchmarkRoleFusionPipeline(b *testing.B) {

@@ -21,16 +21,12 @@
 // `mobility` the physical-layer connectivity refreshes; `telemetry` the
 // streaming histogram, flight recorder and QoS scorecard hot paths;
 // `principles` the principle engines (gossip, clustering, resonance,
-// feedback, metamorphosis) at the S2 fleet size, each paired with its
-// pre-refactor per-op cost; `shard` the space-partitioned executor — the
-// ShardGroup substrate plus the S3 smoke continent swept across 1/2/4/8
-// shard kernels over the same model workload, so the K=1 → K=8 ratio is a
-// parallel-speedup measurement; `serve` the live service mode's
-// per-barrier snapshot publication and /metrics rendering; `all` every
-// suite in one document. A bare
-// `-bench` and the old `-bench-routing`/`-bench-mobility` booleans survive
-// as deprecated aliases for `-bench kernel`/`-bench routing`/`-bench
-// mobility`.
+// feedback, metamorphosis) at the S2 fleet size; `shard` the
+// space-partitioned executor — the ShardGroup substrate plus the S3 smoke
+// continent swept across 1/2/4/8 shard kernels over the same model
+// workload, so the K=1 → K=8 ratio is a parallel-speedup measurement;
+// `serve` the live service mode's per-barrier snapshot publication and
+// /metrics rendering; `all` every suite in one document.
 //
 // -shards K overrides how many shard kernels execute scenarios whose spec
 // declares districts (shards > 1): K must divide the district count (other
@@ -78,56 +74,15 @@ var benchSelectors = map[string]bool{
 	"principles": true, "shard": true, "serve": true, "all": true,
 }
 
-// benchFlag is the -bench selector. It keeps bool-flag semantics so the
-// legacy bare `-bench` (PR 2's spelling) still selects the kernel suite,
-// while `-bench=<suite>` picks a suite explicitly; rewriteBenchArg lets
-// the space-separated `-bench <suite>` spelling work too.
-type benchFlag struct{ suite string }
+const benchSuitesHint = "valid -bench suites: kernel, routing, mobility, telemetry, principles, shard, serve, all"
 
-func (b *benchFlag) String() string   { return b.suite }
-func (b *benchFlag) IsBoolFlag() bool { return true }
-func (b *benchFlag) Set(s string) error {
-	switch {
-	case s == "true": // bare -bench: deprecated alias for the kernel suite
-		b.suite = "kernel"
-	case s == "false":
-		b.suite = ""
-	case benchSelectors[s]:
-		b.suite = s
-	default:
-		return fmt.Errorf("valid suites: kernel, routing, mobility, telemetry, principles, shard, serve, all")
+// checkBenchSuite rejects an unknown -bench selector ("" means no
+// benchmark mode).
+func checkBenchSuite(s string) error {
+	if s == "" || benchSelectors[s] {
+		return nil
 	}
-	return nil
-}
-
-// rewriteBenchArg folds the space-separated `-bench <suite>` spelling
-// into `-bench=<suite>` before flag parsing (the flag keeps bool-flag
-// semantics for the deprecated bare `-bench`, and Go's flag package
-// never consumes a separate value for bool flags).
-func rewriteBenchArg(args []string) []string {
-	out := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if (a == "-bench" || a == "--bench") && i+1 < len(args) && benchSelectors[args[i+1]] {
-			out = append(out, "-bench="+args[i+1])
-			i++
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// resolveSuite folds the -bench selector and the deprecated alias
-// booleans into the effective suite name ("" = no benchmark mode).
-func resolveSuite(bench string, routingAlias, mobilityAlias bool) string {
-	if routingAlias {
-		return "routing"
-	}
-	if mobilityAlias {
-		return "mobility"
-	}
-	return bench
+	return fmt.Errorf("unknown -bench suite %q (%s)", s, benchSuitesHint)
 }
 
 func main() {
@@ -149,27 +104,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stress := fs.Bool("stress", false, "also run the stress/scale scenarios (S1, S2, S3S; heavy ones like S3 need -only)")
 	list := fs.Bool("list", false, "list registered experiment ids and exit")
 	shards := fs.Int("shards", 0, "shard kernels for sharded scenarios (0 = one per district; must divide the district count); fixed values replay exactly, unsharded specs unaffected")
-	var bench benchFlag
-	fs.Var(&bench, "bench", "run a micro-benchmark suite (kernel|routing|mobility|telemetry|principles|shard|serve|all) and emit JSON (BENCH_<suite>.json)")
-	benchRouting := fs.Bool("bench-routing", false, "deprecated alias for -bench routing")
-	benchMobility := fs.Bool("bench-mobility", false, "deprecated alias for -bench mobility")
+	bench := fs.String("bench", "", "run a micro-benchmark suite (kernel|routing|mobility|telemetry|principles|shard|serve|all) and emit JSON (BENCH_<suite>.json)")
 	telemetryOut := fs.String("telemetry", "", "export streaming telemetry for the selected telemetry-capable experiments as JSON-lines to this file (plus a Prometheus snapshot beside it)")
 	scenarioFile := fs.String("scenario", "", "run one declarative scenario spec (JSON) and evaluate its assertions")
 	scenarioDir := fs.String("scenario-dir", "", "run every *.json scenario spec in this directory as a suite")
-	if err := fs.Parse(rewriteBenchArg(args)); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		// A stray positional arg is almost always a typo'd -bench selector
-		// (bool-flag semantics would otherwise silently run the kernel
-		// suite); refuse instead of guessing.
-		fmt.Fprintf(stderr, "viatorbench: unexpected argument %q (valid -bench suites: kernel, routing, mobility, telemetry, principles, shard, serve, all)\n", fs.Arg(0))
+		// The CLI takes no positional arguments; refuse a stray one (often
+		// a suite name missing its -bench) instead of ignoring it.
+		fmt.Fprintf(stderr, "viatorbench: unexpected argument %q (%s)\n", fs.Arg(0), benchSuitesHint)
+		return 2
+	}
+	if err := checkBenchSuite(*bench); err != nil {
+		fmt.Fprintf(stderr, "viatorbench: %v\n", err)
 		return 2
 	}
 	viator.SetShardOverride(*shards)
 
-	if suite := resolveSuite(bench.suite, *benchRouting, *benchMobility); suite != "" {
-		return runBenchSuite(suite, *seed, *workers, stdout, stderr)
+	if *bench != "" {
+		return runBenchSuite(*bench, *seed, *workers, stdout, stderr)
 	}
 
 	if *csv && *jsonOut {
@@ -454,13 +409,12 @@ func benchRoutingSuite(seed uint64) []benchSpec {
 }
 
 // benchMobilitySuite is the physical-layer suite (BENCH_mobility.json):
-// the brute-force O(n²) connectivity oracle, the spatial-hash grid
-// refresh, the incremental diff refresh the simulation loop runs, and
-// pure mobility stepping — all at S1 scale (1000 mobile ships, radius
-// 75) — plus one full end-to-end S2 megalopolis run (10k ships).
+// the spatial-hash grid refresh, the incremental diff refresh the
+// simulation loop runs, and pure mobility stepping — all at S1 scale
+// (1000 mobile ships, radius 75) — plus one full end-to-end S2
+// megalopolis run (10k ships).
 func benchMobilitySuite(seed uint64) []benchSpec {
 	return []benchSpec{
-		{"mobility.connectivity_oracle", benchprobe.ConnectivityOracle(seed)},
 		{"mobility.connectivity_grid", benchprobe.ConnectivityGrid(seed)},
 		{"mobility.connectivity_incremental", benchprobe.ConnectivityIncremental(seed)},
 		{"mobility.step", benchprobe.MobilityStep(seed)},
@@ -489,22 +443,15 @@ func benchTelemetry() []benchSpec {
 
 // benchPrinciplesSuite is the principle-engine suite
 // (BENCH_principles.json): each engine's steady-state hot path at the
-// S2 fleet size next to a body doing the pre-refactor per-op work, so
-// the artifact carries the speedup evidence for the scale-discipline
-// refactor.
+// S2 fleet size.
 func benchPrinciplesSuite(seed uint64) []benchSpec {
 	return []benchSpec{
 		{"principles.gossip_round", benchprobe.GossipRound(seed)},
-		{"principles.gossip_round_describe", benchprobe.GossipRoundDescribe(seed)},
 		{"principles.form_clusters_steady", benchprobe.FormClustersSteady(seed)},
 		{"principles.form_clusters_rebuild", benchprobe.FormClustersRebuild(seed)},
-		{"principles.form_clusters_scan", benchprobe.FormClustersScan(seed)},
 		{"principles.observe_facts", benchprobe.ObserveFacts(seed)},
-		{"principles.observe_facts_map", benchprobe.ObserveFactsMap(seed)},
 		{"principles.emerge_frontier", benchprobe.EmergeFrontier(seed)},
-		{"principles.emerge_scan", benchprobe.EmergeScan(seed)},
 		{"principles.feedback_publish_key", benchprobe.FeedbackPublishKey},
-		{"principles.feedback_publish_scan", benchprobe.FeedbackPublishScan},
 		{"principles.metamorph_pulse", benchprobe.MetamorphPulse(seed)},
 	}
 }

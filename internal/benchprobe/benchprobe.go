@@ -179,7 +179,7 @@ const physicalRadius = 75.0
 // physicalFrames precomputes one fixed cycle of fleet positions: the
 // model is advanced into its long-run (center-biased) regime, then 256
 // consecutive 0.1 s frames are recorded. Every connectivity benchmark
-// replays this same cycle, so the three variants measure the identical
+// replays this same cycle, so the variants measure the identical
 // refresh workload, and per-op work does not drift with the iteration
 // count the harness picks.
 func physicalFrames(seed uint64) [][]topo.Point {
@@ -192,27 +192,10 @@ func physicalFrames(seed uint64) [][]topo.Point {
 	return frames
 }
 
-// ConnectivityOracle measures the brute-force O(n²) refresh — all
-// n(n-1)/2 pair tests, a full link flap, linear-scan link reuse — the
-// pre-refactor physical layer, kept as the baseline the grid and
-// incremental paths are compared against.
-func ConnectivityOracle(seed uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		frames := physicalFrames(seed)
-		g := topo.New()
-		g.AddNodes(len(frames[0]))
-		mobility.Connectivity(g, frames[len(frames)-1], physicalRadius)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mobility.Connectivity(g, frames[i%len(frames)], physicalRadius)
-		}
-	}
-}
-
-// ConnectivityGrid measures the spatial-hash refresh with the oracle's
-// flap semantics: candidates from the grid neighborhood (O(n·k)) instead
-// of all pairs, every link still cycled down/up.
+// ConnectivityGrid measures the spatial-hash refresh with the brute-force
+// mobility.Connectivity's flap semantics: candidates from the grid
+// neighborhood (O(n·k)) instead of all pairs, every link still cycled
+// down/up.
 func ConnectivityGrid(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

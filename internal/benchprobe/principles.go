@@ -17,12 +17,10 @@ import (
 
 // --- principle-engine benchmarks (BENCH_principles.json) ---
 //
-// Each engine gets a new/old pair: the scratch-backed steady-state path
-// next to a body doing the pre-refactor per-op work (Describe-based
-// probes, map-keyed pair counts, full-table emergence scans, linear
-// subscription scans), so the artifact carries the speedup evidence for
-// the scale-discipline refactor. All fleet-based bodies run at the S2
-// megalopolis fleet size (10k ships).
+// Each engine's scratch-backed steady-state path. The pre-refactor
+// comparison bodies are retired; their measured speedups are recorded in
+// CHANGES.md. All fleet-based bodies run at the S2 megalopolis fleet
+// size (10k ships).
 
 // principlesFleet is the S2 fleet size the catalog's megalopolis
 // scenario runs.
@@ -57,36 +55,6 @@ func GossipRound(seed uint64) func(b *testing.B) {
 	}
 }
 
-// GossipRoundDescribe measures the pre-refactor per-probe work on the
-// same fleet: every verification builds the peer's full self-description
-// (genome allocation, role-name strings) and compares strings — the
-// cost GossipRound paid before the kind-compare fast path.
-func GossipRoundDescribe(seed uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		c := principlesCommunity(seed)
-		ids := c.ActiveIDs()
-		members := make([]*cluster.Member, len(ids))
-		for i, id := range ids {
-			members[i], _ = c.Member(id)
-		}
-		rng := sim.NewRNG(seed)
-		probes := cluster.DefaultConfig().ProbesPerRound
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for range members {
-				for p := 0; p < probes; p++ {
-					peer := members[rng.Intn(len(members))]
-					desc := peer.Ship.Describe()
-					if len(desc.Roles) > 0 && desc.Roles[0] != peer.Ship.ModalRole().String() {
-						b.Fatal("fair fleet misreported")
-					}
-				}
-			}
-		}
-	}
-}
-
 // FormClustersSteady measures re-clustering an unchanged fleet: the
 // fingerprint gate absorbs the pass in one hash over the active view.
 // 0 allocs/op.
@@ -115,46 +83,6 @@ func FormClustersRebuild(seed uint64) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Ship.Shape[0] += 1e-12 // invalidate the fingerprint, not the clustering
 			c.FormClusters()
-		}
-	}
-}
-
-// FormClustersScan measures the verbatim pre-refactor pass on the same
-// fleet: the active view rebuilt from scratch with one members-map
-// lookup per enrolled ship and a fresh slice, then the ungated greedy
-// congruence pass — the work every FormClusters call did before the
-// incremental index and the fingerprint gate.
-func FormClustersScan(seed uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		c := principlesCommunity(seed)
-		ids := c.ActiveIDs()
-		bar := cluster.DefaultConfig().ClusterCongruence
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var act []*cluster.Member
-			for _, id := range ids {
-				m, _ := c.Member(id)
-				if !m.Excluded && m.Ship.State() == ship.Alive {
-					act = append(act, m)
-				}
-			}
-			var seeds []*cluster.Member
-			for _, m := range act {
-				m.ClusterID = -1
-				placed := false
-				for ci, s := range seeds {
-					if ployon.Congruence(m.Ship.Shape, s.Ship.Shape) >= bar {
-						m.ClusterID = ci
-						placed = true
-						break
-					}
-				}
-				if !placed {
-					m.ClusterID = len(seeds)
-					seeds = append(seeds, m)
-				}
-			}
 		}
 	}
 }
@@ -197,40 +125,6 @@ func ObserveFacts(seed uint64) func(b *testing.B) {
 	}
 }
 
-// ObserveFactsMap measures the pre-refactor fold on the same stream:
-// string-keyed fact counts and a pair-of-strings map key per pair — two
-// string hashes where the interned engine hashes one uint64.
-func ObserveFactsMap(seed uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		type pair struct{ a, b kq.FactID }
-		factCount := make(map[kq.FactID]int)
-		pairCount := make(map[pair]int)
-		snaps := principlesSnapshots(seed)
-		fold := func(facts []kq.FactID) {
-			for _, f := range facts {
-				factCount[f]++
-			}
-			for i := 0; i < len(facts); i++ {
-				for j := i + 1; j < len(facts); j++ {
-					a, b := facts[i], facts[j]
-					if b < a {
-						a, b = b, a
-					}
-					pairCount[pair{a, b}]++
-				}
-			}
-		}
-		for _, s := range snaps {
-			fold(s)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fold(snaps[i%len(snaps)])
-		}
-	}
-}
-
 // EmergeFrontier measures the steady-state emergence scan: every
 // resonant pair already emerged, the frontier holds only the sub-bar
 // candidates, and no names are rebuilt.
@@ -248,66 +142,6 @@ func EmergeFrontier(seed uint64) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Emerge()
-		}
-	}
-}
-
-// EmergeScan measures the pre-refactor steady-state emergence scan on
-// the same observation load: every call re-walks the full pair table and
-// re-derives the Sprintf name of every supported pair just to find it
-// already emerged.
-func EmergeScan(seed uint64) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		type pair struct{ a, b kq.FactID }
-		cfg := resonance.DefaultConfig()
-		factCount := make(map[kq.FactID]int)
-		pairCount := make(map[pair]int)
-		emerged := make(map[string]kq.NetFunction)
-		snaps := principlesSnapshots(seed)
-		for r := 0; r < 10; r++ {
-			for _, facts := range snaps {
-				for _, f := range facts {
-					factCount[f]++
-				}
-				for i := 0; i < len(facts); i++ {
-					for j := i + 1; j < len(facts); j++ {
-						a, b := facts[i], facts[j]
-						if b < a {
-							a, b = b, a
-						}
-						pairCount[pair{a, b}]++
-					}
-				}
-			}
-		}
-		scan := func() int {
-			fresh := 0
-			for p, cnt := range pairCount {
-				if cnt < cfg.MinSupport {
-					continue
-				}
-				name := fmt.Sprintf("resonant:%s+%s", p.a, p.b)
-				if _, done := emerged[name]; done {
-					continue
-				}
-				ca, cb := factCount[p.a], factCount[p.b]
-				minC := ca
-				if cb < minC {
-					minC = cb
-				}
-				if float64(cnt)/float64(minC) < cfg.MinCorrelation {
-					continue
-				}
-				emerged[name] = kq.NetFunction{Name: name, Requires: []kq.FactID{p.a, p.b}}
-				fresh++
-			}
-			return fresh
-		}
-		scan() // drain everything already resonant
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scan()
 		}
 	}
 }
@@ -337,36 +171,6 @@ func FeedbackPublishKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bus.PublishKey(feedback.PerNode, k, 1, float64(i))
-	}
-}
-
-// FeedbackPublishScan measures the pre-refactor delivery on an identical
-// subscription population: every signal linear-scans the whole
-// subscription list with a dimension and string-key compare per entry.
-func FeedbackPublishScan(b *testing.B) {
-	b.ReportAllocs()
-	var sink float64
-	type sub struct {
-		dim feedback.Dimension
-		key string
-		h   feedback.Handler
-	}
-	var subs []sub
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("node-%d", i)
-		subs = append(subs, sub{feedback.PerNode, key, func(s feedback.Signal) { sink += s.Value }})
-	}
-	for i := 0; i < 4; i++ {
-		subs = append(subs, sub{feedback.PerNode, "", func(s feedback.Signal) { sink += s.Value }})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := feedback.Signal{Dim: feedback.PerNode, Key: "node-7", Value: 1, Time: float64(i)}
-		for _, su := range subs {
-			if su.dim == s.Dim && (su.key == "" || su.key == s.Key) {
-				su.h(s)
-			}
-		}
 	}
 }
 

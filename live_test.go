@@ -148,3 +148,35 @@ func TestBuiltinScenario(t *testing.T) {
 		t.Fatal("unknown builtin resolved")
 	}
 }
+
+// StepTo to a time the run has already reached must not move it: a
+// sharded handle's clock sits inside its last conservative window, so
+// stepping there again would otherwise run one more window. The final
+// result still matches the batch run.
+func TestLiveStepToReachedTimeIsNoOp(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		seed uint64
+	}{
+		{liveShardSpec, 7},
+		{propertySpec, 42},
+	} {
+		sc, err := ParseScenario([]byte(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderResult(t, sc.Run(tc.seed))
+		h := StartScenario(sc, tc.seed)
+		h.StepTo(1.0)
+		now := h.Now()
+		for _, at := range []float64{now, 1.0, 0.5} {
+			h.StepTo(at)
+			if got := h.Now(); got != now {
+				t.Fatalf("%s: StepTo(%v) at now=%v moved the clock to %v", sc.ScenarioID(), at, now, got)
+			}
+		}
+		if got := renderResult(t, h.Finish()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: stepped run diverged from batch run", sc.ScenarioID())
+		}
+	}
+}

@@ -22,7 +22,7 @@ func TestRoutingWorkCounts(t *testing.T) {
 		}
 		h := StartScenario(tc.sc, 42)
 		h.Finish()
-		r := h.r.n.Router
+		r := h.run.ds[0].n.Router
 		if r.LazyBuilds != tc.builds || r.Settles != tc.settles {
 			t.Errorf("%s seed 42: LazyBuilds=%d Settles=%d, want %d and %d",
 				tc.sc.ScenarioID(), r.LazyBuilds, r.Settles, tc.builds, tc.settles)

@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"strings"
 
-	"viator/internal/metamorph"
 	"viator/internal/mobility"
+	"viator/internal/ployon"
 	"viator/internal/roles"
 	"viator/internal/scenario"
 	"viator/internal/ship"
@@ -20,17 +20,23 @@ import (
 )
 
 // The scenario compiler: lowers a validated internal/scenario spec onto
-// the Network machinery. The stress scenarios S1 and S2 are themselves
-// specs (scenarios/s1.json, s2.json, embedded below), and the compiled
-// runner reproduces the retired hand-written RunS1/RunS2 byte-for-byte:
-// its arming sequence performs the same kernel registrations and RNG
-// splits in the same order — mobility model split first, then one shared
-// churn+traffic stream split after the jets — so the golden tables and
-// telemetry exports pinned in testdata/scenario are unchanged.
+// the Network machinery. There is one compiler for every spec. A spec
+// with shards = D describes D spatial districts; an unsharded spec is the
+// one-district case (D = max(shards, 1)). Each district is a full Network
+// armed in the same fixed order (see arm), and the sharded executor in
+// shardrun.go connects several districts by trunks. The stress scenarios
+// S1 and S2 are themselves specs (scenarios/s1.json, s2.json, embedded
+// below), and their one-district runs reproduce the retired hand-written
+// RunS1/RunS2 byte-for-byte: the district runs on the kernel NewNetwork
+// builds from the seed and performs the same kernel registrations and
+// RNG splits in the same order — mobility model split first, then one
+// shared churn+traffic stream split after the jets — so the golden
+// tables and telemetry exports pinned in testdata/scenario are unchanged.
 //
-// Determinism contract: a (spec, seed) pair fully determines the run.
+// Determinism contract: a (spec, seed) pair fully determines the run
+// (for sharded specs, a (spec, seed, K) triple; see shardrun.go).
 // Compilation is pure; everything seed-dependent happens inside Run on
-// the per-run kernel RNG, and replicate fan-out reuses the registry's
+// the per-run kernel RNGs, and replicate fan-out reuses the registry's
 // seed-stream discipline (replicateSeed + sim.RunParallel), so tables,
 // telemetry and assertion verdicts are byte-identical for any worker
 // count.
@@ -45,9 +51,12 @@ type Scenario struct {
 	jets []scenarioJet
 	slo  telemetry.SLO
 	// zipf holds one precomputed sampler per hotspot traffic entry
-	// (nil elsewhere): the harmonic CDF depends only on the spec, so it
-	// is built once here, never per replicate.
+	// (nil elsewhere) over one district's ships: the harmonic CDF depends
+	// only on the spec, so it is built once here, never per replicate.
 	zipf []*workload.Zipf
+	// rowAt lists the checkpoint-row times (the same float accumulation
+	// as Spec.NumRows).
+	rowAt []float64
 }
 
 type scenarioJet struct {
@@ -78,10 +87,14 @@ func CompileScenario(sp *scenario.Spec) (*Scenario, error) {
 		sc.jets = append(sc.jets, scenarioJet{at: j.At, kind: k, fanout: j.Fanout})
 	}
 	sc.zipf = make([]*workload.Zipf, len(sp.Traffic))
+	per := sp.Ships / max(sp.Shards, 1)
 	for i := range sp.Traffic {
 		if sp.Traffic[i].Kind == scenario.TrafficHotspot {
-			sc.zipf[i] = workload.NewZipf(sp.Ships, sp.Traffic[i].Exponent)
+			sc.zipf[i] = workload.NewZipf(per, sp.Traffic[i].Exponent)
 		}
+	}
+	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
+		sc.rowAt = append(sc.rowAt, t)
 	}
 	return sc, nil
 }
@@ -143,24 +156,6 @@ func (r *ScenarioResult) Table() *stats.Table {
 	return t
 }
 
-// run-local state threaded through the arming helpers.
-type scenarioRun struct {
-	sc  *Scenario
-	n   *Network
-	tel *Telemetry
-	// mob/model are set for mobile arenas; pos for static ones.
-	mob    *Mobility
-	model  *mobility.RandomWaypoint
-	pos    []topo.Point
-	healer *Healer
-	// rng is the shared churn+traffic stream (split after the jets,
-	// matching the retired hand-written scenarios).
-	rng *sim.RNG
-	// res accumulates the checkpoint rows while the kernel runs; finish
-	// seals it.
-	res *ScenarioResult
-}
-
 // inWindow gates an emission to the [start, stop) window; stop 0 means
 // forever. Generators outside their window skip the slot without drawing
 // from the RNG, so the gate itself is part of the deterministic replay.
@@ -168,202 +163,204 @@ func inWindow(now, start, stop float64) bool {
 	return now >= start && (stop == 0 || now < stop)
 }
 
-// positions returns the fleet positions the traffic/fault geometry sees.
-func (r *scenarioRun) positions() []topo.Point {
-	if r.model != nil {
-		return r.model.Positions()
-	}
-	return r.pos
-}
-
-// linksUp counts directed up links. Mobile arenas read the refresher's
-// count; static ones scan the (small, fixed) link table.
-func (r *scenarioRun) linksUp() int {
-	if r.mob != nil {
-		return r.mob.LinksUp
-	}
-	up := 0
-	for i := 0; i < r.n.G.Links(); i++ {
-		if r.n.G.Link(i).Up {
-			up++
-		}
-	}
-	return up
-}
-
-// partitions counts refreshes that left the fleet split (mobile only;
-// static arenas have no periodic refresh to probe).
-func (r *scenarioRun) partitions() uint64 {
-	if r.mob != nil {
-		return r.mob.Partitions
-	}
-	return 0
-}
-
-// repairs reads the healer counter, 0 when healing is disarmed.
-func (r *scenarioRun) repairs() uint64 {
-	if r.healer != nil {
-		return r.healer.Repairs
-	}
-	return 0
-}
-
-// Run executes the scenario for one seed. Specs declaring shards > 1
-// compile onto the sharded executor (see shardrun.go); everything else
-// takes the single-kernel path below, whatever the -shards override says
-// — so S1/S2 output is bit-for-bit independent of the shard knob.
-//
-// Run is literally start → advance-to-horizon → finish, the same three
-// calls a live RunHandle (live.go) makes with observation pauses between
-// the advance steps — one code path, so an observed run cannot diverge
-// from a batch run by construction.
+// Run executes the scenario for one seed. Run is literally arm →
+// advance-to-horizon → finish, the same three calls a live RunHandle
+// (live.go) makes with observation pauses between the advance steps —
+// one code path, so an observed run cannot diverge from a batch run by
+// construction.
 func (sc *Scenario) Run(seed uint64) *ScenarioResult {
-	if k := sc.shardKernels(); k > 0 {
-		r := sc.startSharded(seed, k)
-		r.group.Run(sc.Spec.Horizon)
-		return r.finish()
-	}
-	r := sc.start(seed)
-	r.n.Run(sc.Spec.Horizon)
+	r := sc.arm(seed)
+	r.advance(sc.Spec.Horizon)
 	return r.finish()
 }
 
-// start arms the scenario for one seed on a fresh single-kernel Network
-// and returns without running: topology, arena, routing pulses, healing,
-// telemetry, jets, churn, traffic, faults and the checkpoint-row
-// schedule, in the fixed order the golden byte-identity tests pin.
-func (sc *Scenario) start(seed uint64) *scenarioRun {
+// arm lowers the spec for one seed onto D = max(shards, 1) districts and
+// returns the run paused at sim time zero: the districts in index order
+// (see armDistrict), then the trunk mesh, then the checkpoint-row
+// schedule. A (spec, seed, K) triple therefore fully determines the run,
+// and the golden byte-identity tests pin the order.
+func (sc *Scenario) arm(seed uint64) *shardedRun {
 	sp := sc.Spec
-	cfg := DefaultConfig(sp.Ships, seed)
+	D := max(sp.Shards, 1)
+	kernels := sc.shardKernels()
+	r := &shardedRun{sc: sc, ds: make([]*shardDistrict, D), per: sp.Ships / D, dpk: D / kernels}
+	// The kernel pick. One district runs on the kernel NewNetwork builds
+	// from the seed, never on a one-shard group (which seeds its shard
+	// from a draw of the seed and, with no trunk delay, steps in
+	// lockstep), so unsharded output never depends on the shard machinery.
+	var ks []*sim.Kernel
+	if D == 1 {
+		ks = []*sim.Kernel{sim.NewKernel(seed)}
+	} else {
+		r.group = sim.NewShardGroup(kernels, seed, sp.Trunk.Delay)
+		for i := 0; i < kernels; i++ {
+			ks = append(ks, r.group.Shard(i))
+		}
+	}
+	for di := range r.ds {
+		r.ds[di] = r.armDistrict(di, ks[r.kernelOf(di)], seed)
+	}
+	r.armTrunks()
+	// Checkpoint schedule: every district snapshots itself on its own
+	// kernel at each row time.
+	for i, t := range sc.rowAt {
+		for _, d := range r.ds {
+			d.n.K.At(t, func() { r.checkpoint(d, i) })
+		}
+	}
+	return r
+}
+
+// armDistrict builds district di on kernel k and arms it, always in the
+// same sequence: arena, routing pulses, healing, telemetry, jets, the
+// run-stream split, churn, traffic, cross-traffic, faults.
+func (r *shardedRun) armDistrict(di int, k *sim.Kernel, seed uint64) *shardDistrict {
+	sc, sp, per, D := r.sc, r.sc.Spec, r.per, len(r.ds)
+	cfg := DefaultConfig(per, seed)
+	cfg.Kernel = k
 	cfg.UnfairFraction = sp.UnfairFraction
 	// Radio-range topology from the arena's own positions; the default
 	// Waxman generator would be far denser than a city radio mesh.
 	g := topo.New()
-	g.AddNodes(sp.Ships)
+	g.AddNodes(per)
 	cfg.Graph = g
+	base := di * per
+	cfg.ClassOf = func(i int) ployon.Class { return ployon.Class((base + i) % int(ployon.NumClasses)) }
 	n := NewNetwork(cfg)
+	d := &shardDistrict{id: di, n: n, checks: make([]shardCheck, len(sc.rowAt))}
 
-	r := &scenarioRun{sc: sc, n: n}
 	switch sp.Arena.Kind {
 	case scenario.ArenaMobile:
-		r.model = mobility.NewRandomWaypoint(sp.Ships, sp.Arena.Side,
-			sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, n.K.Rand.Split())
-		r.mob = n.EnableMobility(r.model, sp.Arena.Radius, sp.Arena.Refresh)
-		r.mob.RefreshNow()
+		d.model = mobility.NewRandomWaypoint(per, sp.Arena.Side,
+			sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, k.Rand.Split())
+		d.mob = n.EnableMobility(d.model, sp.Arena.Radius, sp.Arena.Refresh)
+		d.mob.RefreshNow()
 	case scenario.ArenaStatic:
 		// Positions are drawn once from their own split — the static
 		// arena's analogue of the mobility model's stream — and the link
 		// table is synthesized in one pass. No periodic refresh runs, so
 		// injected link faults persist until a rejoin fault undoes them.
-		prng := n.K.Rand.Split()
-		r.pos = make([]topo.Point, sp.Ships)
-		for i := range r.pos {
-			r.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
+		prng := k.Rand.Split()
+		d.pos = make([]topo.Point, per)
+		for i := range d.pos {
+			d.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
 		}
-		mobility.Connectivity(g, r.pos, sp.Arena.Radius)
+		mobility.Connectivity(g, d.pos, sp.Arena.Radius)
 	}
 	n.Router.Pulse()
 	n.StartPulses(sp.PulsePeriod)
 	if sp.HealPeriod > 0 {
-		r.healer = n.EnableSelfHealing(sp.HealPeriod)
+		d.healer = n.EnableSelfHealing(sp.HealPeriod)
 	}
 
-	// Telemetry: fixed-memory sinks plus the flight-recorder tick.
-	// Strictly observational — a scenario's pre-telemetry columns replay
-	// byte-identical (pinned by the cross-worker CI gates).
-	r.tel = n.EnableTelemetry(TelemetryConfig{Tick: sp.TelemetryTick, SLO: sc.slo})
-	r.tel.Rec.Gauge("links.up", func() float64 { return float64(r.linksUp()) })
-	if r.healer != nil {
-		r.tel.Rec.CounterFn("healer.repairs", func() float64 { return float64(r.healer.Repairs) })
+	// Telemetry: every district keeps the fixed-memory QoS sinks the row
+	// columns and assertions read. The flight-recorder tick and its fleet
+	// gauges run only for a single district, the one case with a
+	// single-recorder export (ScenarioResult.Dump). Strictly observational
+	// either way: the pre-telemetry columns replay byte-identical.
+	tc := TelemetryConfig{SLO: sc.slo}
+	if D == 1 {
+		tc.Tick = sp.TelemetryTick
+	}
+	d.tel = n.EnableTelemetry(tc)
+	if D == 1 {
+		d.tel.Rec.Gauge("links.up", func() float64 { return float64(d.linksUp()) })
+		if d.healer != nil {
+			d.tel.Rec.CounterFn("healer.repairs", func() float64 { return float64(d.healer.Repairs) })
+		}
 	}
 
 	// Role deployment: epidemic jets seed functional differentiation.
 	for _, j := range sc.jets {
-		n.InjectJet(j.at, j.kind, j.fanout)
+		if j.at/per == di {
+			n.InjectJet(j.at%per, j.kind, j.fanout)
+		}
 	}
 
 	// One shared stream for churn and every traffic generator, split
-	// after the jets — the retired RunS1/RunS2 split order, which the
-	// golden byte-identity tests pin.
-	r.rng = n.K.Rand.Split()
+	// after the jets — the retired hand-written RunS1/RunS2 split order,
+	// which the golden byte-identity tests pin.
+	d.rng = k.Rand.Split()
 
 	if c := sp.Churn; c != nil {
-		n.K.Every(c.Period, func() {
-			if !inWindow(n.K.Now(), c.Start, c.Stop) {
+		// Each district churns one of its own ships every Period.
+		k.Every(c.Period, func() {
+			if !inWindow(k.Now(), c.Start, c.Stop) {
 				return
 			}
-			i := r.rng.Intn(sp.Ships)
+			i := d.rng.Intn(per)
 			if n.Ships[i].State() == ship.Alive {
 				n.KillShip(i)
 			}
 		})
 	}
-
 	for i := range sp.Traffic {
-		r.armTraffic(&sp.Traffic[i], sc.zipf[i])
+		r.armTraffic(d, &sp.Traffic[i], sc.zipf[i])
 	}
-	for _, f := range sp.Faults {
-		f := f
-		n.K.At(f.At, func() { r.applyFault(f) })
-	}
-
-	r.res = &ScenarioResult{Title: sp.Title}
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		t := t
-		n.K.At(t, func() {
-			qos := r.tel.Report("")
-			slo := 0.0
-			if qos.SLOPass {
-				slo = 1
+	if ct := sp.CrossTraffic; ct != nil {
+		k.Every(ct.Period, func() {
+			if !inWindow(k.Now(), ct.Start, ct.Stop) {
+				return
 			}
-			r.res.Rows = append(r.res.Rows, ScenarioRow{
-				T:          t,
-				AliveFrac:  n.AliveFraction(),
-				LinksUp:    r.linksUp(),
-				Delivered:  n.DeliveredShuttles,
-				Lost:       n.LostShuttles,
-				Repairs:    r.repairs(),
-				Partitions: r.partitions(),
-				Entropy:    metamorph.RoleEntropy(n.Ships),
-				P50ms:      qos.P50 * 1e3,
-				P95ms:      qos.P95 * 1e3,
-				P99ms:      qos.P99 * 1e3,
-				SLOOK:      slo,
-			})
+			src := d.rng.Intn(per)
+			dd := d.rng.Intn(D - 1)
+			if dd >= di {
+				dd++
+			}
+			r.sendCross(d, src, dd*per+d.rng.Intn(per), ct.Overlay)
 		})
 	}
-	return r
+	// Spec validation admits faults only for a single district, whose
+	// local ship indices are the global ones.
+	for _, f := range sp.Faults {
+		k.At(f.At, func() { d.applyFault(f) })
+	}
+	return d
 }
 
-// finish seals a run whose kernel has reached the horizon: stops the
-// pulse and telemetry tickers, packages the telemetry dump and evaluates
-// the spec's assertions. Exactly the epilogue Run always performed, so
-// stepped (live) runs and batch runs end identically.
-func (r *scenarioRun) finish() *ScenarioResult {
-	r.n.StopPulses()
-	r.tel.Stop()
-	r.res.Dump = r.tel.Dump()
-	r.res.Verdicts = r.evaluate()
-	return r.res
+// finish seals a run that has reached the horizon: stops the pulse and
+// telemetry tickers, folds the checkpoint rows, packages the telemetry
+// dump (single district only) and evaluates the spec's assertions.
+// Stepped (live) runs and batch runs end through this one epilogue.
+func (r *shardedRun) finish() *ScenarioResult {
+	for _, d := range r.ds {
+		d.n.StopPulses()
+		d.tel.Stop()
+	}
+	if len(r.ds) > 1 {
+		for i := range r.sc.rowAt {
+			r.rows = append(r.rows, r.fold(i))
+		}
+	}
+	res := &ScenarioResult{Title: r.sc.Spec.Title, Rows: r.rows}
+	if len(r.ds) == 1 {
+		res.Dump = r.ds[0].tel.Dump()
+	}
+	res.Verdicts = r.evaluate()
+	return res
 }
 
-// armTraffic schedules one traffic generator. Every per-slot closure
-// draws only from the shared run stream and sends through the standard
-// shuttle path, so generators compose without perturbing each other's
-// schedules — only the stream consumption interleaves, deterministically.
-func (r *scenarioRun) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
-	n, sp, rng := r.n, r.sc.Spec, r.rng
+// armTraffic arms one generator on district d over its local ships.
+// Every per-slot closure draws only from the district's run stream and
+// sends through the standard shuttle path, so generators compose without
+// perturbing each other's schedules — only the stream consumption
+// interleaves, deterministically. Random-pair generators run in every
+// district; fixed-pair generators (onoff, cbr) run only in the district
+// that owns the pair.
+func (r *shardedRun) armTraffic(d *shardDistrict, tr *scenario.Traffic, zipf *workload.Zipf) {
+	n, per, rng := d.n, r.per, d.rng
+	k := n.K
 	send := func(src, dst int) {
 		n.SendShuttle(n.NewShuttle(shuttle.Data, src, dst), tr.Overlay)
 	}
-	gated := func() bool { return inWindow(n.K.Now(), tr.Start, tr.Stop) }
+	gated := func() bool { return inWindow(k.Now(), tr.Start, tr.Stop) }
 	switch tr.Kind {
 	case scenario.TrafficUniform:
-		n.K.Every(tr.Period, func() {
+		k.Every(tr.Period, func() {
 			if !gated() {
 				return
 			}
-			src, dst := rng.Intn(sp.Ships), rng.Intn(sp.Ships)
+			src, dst := rng.Intn(per), rng.Intn(per)
 			if src != dst {
 				send(src, dst)
 			}
@@ -374,14 +371,14 @@ func (r *scenarioRun) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
 			tries = 64
 		}
 		maxDist := tr.MaxDist
-		n.K.Every(tr.Period, func() {
+		k.Every(tr.Period, func() {
 			if !gated() {
 				return
 			}
-			src := rng.Intn(sp.Ships)
-			pos := r.positions()
+			src := rng.Intn(per)
+			pos := d.positions()
 			for try := 0; try < tries; try++ {
-				dst := rng.Intn(sp.Ships)
+				dst := rng.Intn(per)
 				if dst == src || pos[src].Dist(pos[dst]) > maxDist {
 					continue
 				}
@@ -390,43 +387,51 @@ func (r *scenarioRun) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
 			}
 		})
 	case scenario.TrafficPoisson:
-		workload.Poisson(n.K, rng, tr.Rate, func(int) {
+		workload.Poisson(k, rng, tr.Rate, func(int) {
 			if !gated() {
 				return
 			}
-			src, dst := rng.Intn(sp.Ships), rng.Intn(sp.Ships)
+			src, dst := rng.Intn(per), rng.Intn(per)
 			if src != dst {
 				send(src, dst)
 			}
 		})
 	case scenario.TrafficHotspot:
-		n.K.Every(tr.Period, func() {
+		k.Every(tr.Period, func() {
 			if !gated() {
 				return
 			}
-			src := rng.Intn(sp.Ships)
+			src := rng.Intn(per)
 			dst := zipf.Draw(rng)
 			if src != dst {
 				send(src, dst)
 			}
 		})
 	case scenario.TrafficOnOff:
-		workload.OnOff(n.K, rng, flowName(tr.Overlay),
+		if tr.Src/per != d.id {
+			return
+		}
+		src, dst := tr.Src%per, tr.Dst%per
+		workload.OnOff(k, rng, flowName(tr.Overlay),
 			tr.Rate*float64(scenarioChunkBytes), tr.OnMean, tr.OffMean, scenarioChunkBytes,
 			func(roles.Chunk) {
 				if !gated() {
 					return
 				}
-				send(tr.Src, tr.Dst)
+				send(src, dst)
 			})
 	case scenario.TrafficCBR:
-		workload.CBR(n.K, flowName(tr.Overlay),
+		if tr.Src/per != d.id {
+			return
+		}
+		src, dst := tr.Src%per, tr.Dst%per
+		workload.CBR(k, flowName(tr.Overlay),
 			tr.Rate*float64(scenarioChunkBytes), scenarioChunkBytes,
 			func(roles.Chunk) {
 				if !gated() {
 					return
 				}
-				send(tr.Src, tr.Dst)
+				send(src, dst)
 			})
 	}
 }
@@ -435,11 +440,11 @@ func (r *scenarioRun) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
 // carries onoff/cbr shuttle traffic: Rate shuttles/s at this chunk size.
 const scenarioChunkBytes = 1000
 
-// applyFault injects one scheduled fault. Faults that change the link
-// table re-pulse the router immediately so traffic reacts at the fault
-// instant rather than the next pulse tick.
-func (r *scenarioRun) applyFault(f scenario.Fault) {
-	n, g := r.n, r.n.G
+// applyFault injects one scheduled fault into the district. Faults that
+// change the link table re-pulse the router immediately so traffic
+// reacts at the fault instant rather than the next pulse tick.
+func (d *shardDistrict) applyFault(f scenario.Fault) {
+	n, g := d.n, d.n.G
 	switch f.Kind {
 	case scenario.FaultPartition, scenario.FaultRejoin:
 		up := f.Kind == scenario.FaultRejoin
@@ -452,7 +457,7 @@ func (r *scenarioRun) applyFault(f scenario.Fault) {
 		n.Router.Pulse()
 	case scenario.FaultBlackout:
 		center := topo.Point{X: f.X, Y: f.Y}
-		pos := r.positions()
+		pos := d.positions()
 		for i, s := range n.Ships {
 			if s.State() == ship.Alive && pos[i].Dist(center) <= f.R {
 				n.KillShip(i)
@@ -475,20 +480,24 @@ func (r *scenarioRun) applyFault(f scenario.Fault) {
 }
 
 // evaluate renders the spec's assertions against the finished run: flow
-// SLO assertions from the telemetry scorecards first (spec order), then
-// the scenario-level predicates in grammar order. Verdict order and text
-// depend only on the spec and the run state, never on evaluation timing.
-func (r *scenarioRun) evaluate() []scenario.Verdict {
-	n, a := r.n, &r.sc.Spec.Asserts
+// SLO assertions against the run's scorecards first (spec order), then
+// the scenario-level predicates over the summed district counters in
+// grammar order. Verdict order and text depend only on the spec and the
+// run state, never on evaluation timing.
+func (r *shardedRun) evaluate() []scenario.Verdict {
+	a := &r.sc.Spec.Asserts
+	qos := r.qos()
 	var out []scenario.Verdict
 	for _, fa := range a.Flows {
-		f := r.tel.Flow(fa.Flow)
-		rep := r.tel.QoS.Report(f)
+		// Registering the flow on a single district's live set is part of
+		// its exported Dump, which the telemetry goldens pin.
+		f := qos.Flow(flowName(fa.Flow), r.sc.slo)
+		rep := qos.Report(f)
 		slo := telemetry.SLO{Quantile: fa.Quantile, MaxLatency: fa.MaxLatency, MinDeliveryRatio: fa.MinDeliveryRatio}
-		pass := slo.Check(rep.Sent, rep.Delivered, r.tel.QoS.Latency(f))
+		pass := slo.Check(rep.Sent, rep.Delivered, qos.Latency(f))
 		detail := fmt.Sprintf("delivered %d/%d (ratio %.3f)", rep.Delivered, rep.Sent, rep.DeliveryRatio)
 		if fa.MaxLatency > 0 {
-			q := r.tel.QoS.Latency(f).Quantile(fa.Quantile)
+			q := qos.Latency(f).Quantile(fa.Quantile)
 			detail += fmt.Sprintf(", p%v latency %.4gs (bound %.4gs)", fa.Quantile*100, q, fa.MaxLatency)
 		}
 		out = append(out, scenario.Verdict{
@@ -497,17 +506,18 @@ func (r *scenarioRun) evaluate() []scenario.Verdict {
 			Detail: detail,
 		})
 	}
+	t := r.totals()
 	if a.MinDelivered > 0 {
 		out = append(out, scenario.Verdict{
-			Name: "min_delivered", Pass: n.DeliveredShuttles >= a.MinDelivered,
-			Detail: fmt.Sprintf("delivered %d (floor %d)", n.DeliveredShuttles, a.MinDelivered),
+			Name: "min_delivered", Pass: t.delivered >= a.MinDelivered,
+			Detail: fmt.Sprintf("delivered %d (floor %d)", t.delivered, a.MinDelivered),
 		})
 	}
 	if a.MaxLossRatio > 0 {
-		total := n.DeliveredShuttles + n.LostShuttles
+		sum := t.delivered + t.lost
 		ratio := 0.0
-		if total > 0 {
-			ratio = float64(n.LostShuttles) / float64(total)
+		if sum > 0 {
+			ratio = float64(t.lost) / float64(sum)
 		}
 		out = append(out, scenario.Verdict{
 			Name: "max_loss_ratio", Pass: ratio <= a.MaxLossRatio,
@@ -515,7 +525,7 @@ func (r *scenarioRun) evaluate() []scenario.Verdict {
 		})
 	}
 	if a.MinAliveFrac > 0 {
-		frac := n.AliveFraction()
+		frac := t.aliveFrac()
 		out = append(out, scenario.Verdict{
 			Name: "min_alive_frac", Pass: frac >= a.MinAliveFrac,
 			Detail: fmt.Sprintf("alive fraction %.3f (floor %.3f)", frac, a.MinAliveFrac),
@@ -523,12 +533,15 @@ func (r *scenarioRun) evaluate() []scenario.Verdict {
 	}
 	if a.MinRepairs > 0 {
 		out = append(out, scenario.Verdict{
-			Name: "min_repairs", Pass: r.repairs() >= a.MinRepairs,
-			Detail: fmt.Sprintf("repairs %d (floor %d)", r.repairs(), a.MinRepairs),
+			Name: "min_repairs", Pass: t.repairs >= a.MinRepairs,
+			Detail: fmt.Sprintf("repairs %d (floor %d)", t.repairs, a.MinRepairs),
 		})
 	}
 	if a.MinExcluded > 0 {
-		excluded := n.Community.ExcludedCount()
+		excluded := 0
+		for _, d := range r.ds {
+			excluded += d.n.Community.ExcludedCount()
+		}
 		out = append(out, scenario.Verdict{
 			Name: "min_excluded", Pass: excluded >= a.MinExcluded,
 			Detail: fmt.Sprintf("excluded %d (floor %d)", excluded, a.MinExcluded),

@@ -1,7 +1,6 @@
 package viator
 
 import (
-	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -9,25 +8,24 @@ import (
 	"viator/internal/netsim"
 	"viator/internal/ployon"
 	"viator/internal/roles"
-	"viator/internal/scenario"
 	"viator/internal/ship"
 	"viator/internal/shuttle"
 	"viator/internal/sim"
 	"viator/internal/stats"
 	"viator/internal/telemetry"
 	"viator/internal/topo"
-	"viator/internal/workload"
 )
 
-// The sharded scenario runner: a spec with shards = D describes D
-// spatial districts, each a full Network of ships/D ships in its own
-// arena, radio-isolated from the others and connected only by trunks —
-// long-haul links whose propagation delay is the conservative executor's
-// lookahead. The model is fixed by the spec: D, the per-district fleets,
-// the trunk mesh and the traffic mix never depend on how the run is
-// executed.
+// The district executor behind the scenario compiler (scenario.go). A
+// spec with shards = D describes D spatial districts, each a full Network
+// of ships/D ships in its own arena, radio-isolated from the others and
+// connected only by trunks — long-haul links whose propagation delay is
+// the conservative executor's lookahead. The model is fixed by the spec:
+// D, the per-district fleets, the trunk mesh and the traffic mix never
+// depend on how the run is executed. An unsharded spec is the one-district
+// case: no trunks, one kernel, and the shard override is ignored.
 //
-// Execution maps the D districts onto K shard kernels (K divides D;
+// Execution maps D > 1 districts onto K shard kernels (K divides D;
 // default K = D, overridable with SetShardOverride / viatorbench
 // -shards), each kernel advancing its districts under the ShardGroup's
 // windowed conservative protocol. Every cross-district packet leaves
@@ -46,9 +44,10 @@ import (
 // inter-district generator. Checkpoint rows aggregate the districts
 // exactly (counter sums, role-count entropy over the summed counts,
 // merged latency histograms for the quantile columns), and assertions
-// evaluate against the merged scorecards. ScenarioResult.Dump is nil for
-// sharded runs: per-district telemetry exists transiently for the QoS
-// columns but a single-recorder export is not defined for them.
+// evaluate against the merged scorecards. For one district every merge
+// is the identity, so the rows equal the district's own. ScenarioResult.Dump
+// is nil when D > 1: per-district telemetry exists for the QoS columns,
+// but a single-recorder export is not defined across districts.
 
 // shardOverride is the process-wide execution override for the number of
 // shard kernels (the viatorbench -shards flag). 0 means "spec default"
@@ -60,19 +59,19 @@ var shardOverride atomic.Int64
 
 // SetShardOverride sets the global shard-kernel override (0 restores the
 // spec default). It applies only to specs that declare shards > 1;
-// unsharded specs always run the plain single-kernel path.
+// unsharded specs always run their one district on one kernel.
 func SetShardOverride(k int) { shardOverride.Store(int64(k)) }
 
 // ShardOverride returns the current override (0 = spec default).
 func ShardOverride() int { return int(shardOverride.Load()) }
 
-// shardKernels resolves how many shard kernels a run of sc uses: 0 for
-// unsharded specs (plain path), otherwise a divisor of the district
-// count — the override when valid, else one kernel per district.
+// shardKernels resolves how many kernels a run of sc uses: 1 for
+// unsharded specs, otherwise a divisor of the district count — the
+// override when valid, else one kernel per district.
 func (sc *Scenario) shardKernels() int {
 	d := sc.Spec.Shards
 	if d <= 1 {
-		return 0
+		return 1
 	}
 	k := ShardOverride()
 	if k <= 0 || k > d || d%k != 0 {
@@ -98,19 +97,22 @@ type shardCheck struct {
 
 // shardDistrict is one district's compiled machinery.
 type shardDistrict struct {
-	id     int
-	n      *Network
-	tel    *Telemetry
+	id  int
+	n   *Network
+	tel *Telemetry
+	// mob/model are set for mobile arenas; pos for static ones.
 	mob    *Mobility
 	model  *mobility.RandomWaypoint
 	pos    []topo.Point
 	healer *Healer
-	rng    *sim.RNG
+	// rng is the district's shared churn+traffic stream.
+	rng *sim.RNG
 	// trunks[dd] carries packets to district dd (nil for dd == id).
 	trunks []*netsim.Trunk
 	checks []shardCheck
 }
 
+// positions returns the fleet positions the traffic/fault geometry sees.
 func (d *shardDistrict) positions() []topo.Point {
 	if d.model != nil {
 		return d.model.Positions()
@@ -118,6 +120,8 @@ func (d *shardDistrict) positions() []topo.Point {
 	return d.pos
 }
 
+// linksUp counts directed up links. Mobile arenas read the refresher's
+// count; static ones scan the (small, fixed) link table.
 func (d *shardDistrict) linksUp() int {
 	if d.mob != nil {
 		return d.mob.LinksUp
@@ -131,6 +135,7 @@ func (d *shardDistrict) linksUp() int {
 	return up
 }
 
+// repairs reads the healer counter, 0 when healing is disarmed.
 func (d *shardDistrict) repairs() uint64 {
 	if d.healer != nil {
 		return d.healer.Repairs
@@ -138,6 +143,8 @@ func (d *shardDistrict) repairs() uint64 {
 	return 0
 }
 
+// partitions counts refreshes that left the district split (mobile only;
+// static arenas have no periodic refresh to probe).
 func (d *shardDistrict) partitions() uint64 {
 	if d.mob != nil {
 		return d.mob.Partitions
@@ -145,15 +152,17 @@ func (d *shardDistrict) partitions() uint64 {
 	return 0
 }
 
-// shardedRun is the whole-run state: the executor, the districts and the
-// row schedule.
+// shardedRun is the whole-run state: the executor, the districts and
+// the folded checkpoint rows.
 type shardedRun struct {
-	sc      *Scenario
-	group   *sim.ShardGroup
-	ds      []*shardDistrict
-	per     int // ships per district
-	dpk     int // districts per kernel
-	numRows int
+	sc *Scenario
+	// group executes D > 1 districts; nil for one district, which runs on
+	// its own kernel.
+	group *sim.ShardGroup
+	ds    []*shardDistrict
+	per   int // ships per district
+	dpk   int // districts per kernel
+	rows  []ScenarioRow
 }
 
 func (r *shardedRun) kernelOf(district int) int { return district / r.dpk }
@@ -171,9 +180,7 @@ func (r *shardedRun) sendCross(d *shardDistrict, src, gdst int, overlay string) 
 	sh := shuttle.New(n.allocShuttleID(), shuttle.Data, int32(src), int32(gdst), n.Ships[src].Class)
 	sh.DstClass = ployon.Class(gdst % int(ployon.NumClasses))
 	sh.Shape = n.Ships[src].Shape
-	if d.tel != nil {
-		d.tel.QoS.Sent(d.tel.flowFor(overlay))
-	}
+	d.tel.QoS.Sent(d.tel.flowFor(overlay))
 	pkt := n.Net.NewPacket(topo.NodeID(src), topo.NodeID(gdst), sh.WireSize(), "xshard:"+overlay, sh)
 	if !d.trunks[dd].Send(pkt) {
 		n.LostShuttles++
@@ -189,132 +196,29 @@ func (r *shardedRun) deliverCross(pkt *netsim.Packet) {
 	d := r.ds[dd]
 	sh := pkt.Payload.(*shuttle.Shuttle)
 	d.n.Net.Deliver(pkt)
-	if d.tel != nil {
-		overlay := strings.TrimPrefix(pkt.Class, "xshard:")
-		d.tel.QoS.Delivered(d.tel.flowFor(overlay), d.n.K.Now()-pkt.Created)
-	}
+	overlay := strings.TrimPrefix(pkt.Class, "xshard:")
+	d.tel.QoS.Delivered(d.tel.flowFor(overlay), d.n.K.Now()-pkt.Created)
 	d.n.dock(local, sh)
 }
 
-// startSharded arms a sharded scenario for one seed on k shard kernels
-// and returns without running. The arming order is fixed — districts in
-// index order, each mirroring the unsharded compiler's sequence (arena,
-// pulses, healer, telemetry, jets, run stream, churn, traffic,
-// cross-traffic), then the trunk mesh, then the checkpoint schedule — so
-// a (spec, seed, k) triple fully determines the run. Advance the
-// returned run with group.Run(horizon) in one shot, or window-by-window
-// with group.StepWindow(horizon) + settle() (the live path), then seal
-// it with finish().
-func (sc *Scenario) startSharded(seed uint64, kernels int) *shardedRun {
-	sp := sc.Spec
-	D := sp.Shards
-	per := sp.Ships / D
-	r := &shardedRun{
-		sc:    sc,
-		group: sim.NewShardGroup(kernels, seed, sp.Trunk.Delay),
-		ds:    make([]*shardDistrict, D),
-		per:   per,
-		dpk:   D / kernels,
+// armTrunks builds the trunk mesh: one trunk per ordered district pair,
+// owned by the source district's kernel; transmit completion posts the
+// packet to the destination kernel's mailbox. One district has none
+// (and its spec declares no trunk).
+func (r *shardedRun) armTrunks() {
+	if len(r.ds) == 1 {
+		return
 	}
-	numRows := sp.NumRows()
+	sp := r.sc.Spec
 	trunkProps := netsim.LinkProps{
 		Bandwidth: sp.Trunk.Bandwidth,
 		Delay:     sp.Trunk.Delay,
 		QueueCap:  sp.Trunk.QueueCap,
 	}
-	zipf := make([]*workload.Zipf, len(sp.Traffic))
-	for i := range sp.Traffic {
-		if sp.Traffic[i].Kind == scenario.TrafficHotspot {
-			zipf[i] = workload.NewZipf(per, sp.Traffic[i].Exponent)
-		}
-	}
-
-	for di := 0; di < D; di++ {
-		k := r.group.Shard(r.kernelOf(di))
-		cfg := DefaultConfig(per, seed)
-		cfg.Kernel = k
-		cfg.UnfairFraction = sp.UnfairFraction
-		g := topo.New()
-		g.AddNodes(per)
-		cfg.Graph = g
-		base := di * per
-		cfg.ClassOf = func(i int) ployon.Class { return ployon.Class((base + i) % int(ployon.NumClasses)) }
-		n := NewNetwork(cfg)
-		d := &shardDistrict{id: di, n: n, trunks: make([]*netsim.Trunk, D), checks: make([]shardCheck, numRows)}
-		r.ds[di] = d
-
-		switch sp.Arena.Kind {
-		case scenario.ArenaMobile:
-			d.model = mobility.NewRandomWaypoint(per, sp.Arena.Side,
-				sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, k.Rand.Split())
-			d.mob = n.EnableMobility(d.model, sp.Arena.Radius, sp.Arena.Refresh)
-			d.mob.RefreshNow()
-		case scenario.ArenaStatic:
-			prng := k.Rand.Split()
-			d.pos = make([]topo.Point, per)
-			for i := range d.pos {
-				d.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
-			}
-			mobility.Connectivity(g, d.pos, sp.Arena.Radius)
-		}
-		n.Router.Pulse()
-		n.StartPulses(sp.PulsePeriod)
-		if sp.HealPeriod > 0 {
-			d.healer = n.EnableSelfHealing(sp.HealPeriod)
-		}
-		// Per-district telemetry provides the fixed-memory QoS sinks the
-		// row columns and assertions read; the flight-recorder tick is
-		// not armed (Dump is nil for sharded runs).
-		d.tel = n.EnableTelemetry(TelemetryConfig{SLO: sc.slo})
-
-		for _, j := range sc.jets {
-			if j.at/per == di {
-				n.InjectJet(j.at%per, j.kind, j.fanout)
-			}
-		}
-
-		// One shared churn+traffic stream per district, split after the
-		// jets — the unsharded compiler's split order, per district.
-		d.rng = k.Rand.Split()
-
-		if c := sp.Churn; c != nil {
-			// Per-district interpretation: each district churns one of its
-			// own ships every Period.
-			k.Every(c.Period, func() {
-				if !inWindow(k.Now(), c.Start, c.Stop) {
-					return
-				}
-				i := d.rng.Intn(per)
-				if n.Ships[i].State() == ship.Alive {
-					n.KillShip(i)
-				}
-			})
-		}
-		for i := range sp.Traffic {
-			r.armShardTraffic(d, &sp.Traffic[i], zipf[i])
-		}
-		if ct := sp.CrossTraffic; ct != nil {
-			k.Every(ct.Period, func() {
-				if !inWindow(k.Now(), ct.Start, ct.Stop) {
-					return
-				}
-				src := d.rng.Intn(per)
-				dd := d.rng.Intn(D - 1)
-				if dd >= di {
-					dd++
-				}
-				r.sendCross(d, src, dd*per+d.rng.Intn(per), ct.Overlay)
-			})
-		}
-	}
-
-	// The trunk mesh: one trunk per ordered district pair, owned by the
-	// source district's kernel; transmit completion posts the packet to
-	// the destination kernel's mailbox.
-	for di := 0; di < D; di++ {
-		d := r.ds[di]
+	for di, d := range r.ds {
 		srcK := r.kernelOf(di)
-		for dd := 0; dd < D; dd++ {
+		d.trunks = make([]*netsim.Trunk, len(r.ds))
+		for dd := range r.ds {
 			if dd == di {
 				continue
 			}
@@ -324,56 +228,106 @@ func (sc *Scenario) startSharded(seed uint64, kernels int) *shardedRun {
 			})
 		}
 	}
-	for ki := 0; ki < kernels; ki++ {
+	for ki := 0; ki < r.group.NumShards(); ki++ {
 		r.group.OnMail(ki, func(payload any) {
 			r.deliverCross(payload.(*netsim.Packet))
 		})
 	}
+}
 
-	// Checkpoint schedule: every district snapshots itself on its own
-	// kernel at each row time (the same float accumulation as NumRows).
-	row := 0
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		rc := row
-		for di := 0; di < D; di++ {
-			d := r.ds[di]
-			d.n.K.At(t, func() { d.capture(rc) })
+// advance drives the run toward sim time t (clamped to the horizon) and
+// reports whether it reached the horizon. One district advances with the
+// same Kernel.Run the batch path uses, so chained advances are
+// definitionally one Run(horizon). A shard group advances whole
+// conservative windows, always cut against the final horizon, never
+// against t, so the window partition — and with it the cross-shard mail
+// commit order — is exactly the batch run's; it stops once the slowest
+// district passes t. At the horizon it advances every clock there and
+// releases the group's workers, the epilogue ShardGroup.Run performs.
+func (r *shardedRun) advance(t float64) bool {
+	horizon := r.sc.Spec.Horizon
+	t = min(t, horizon)
+	if r.group == nil {
+		r.ds[0].n.Run(t)
+		return t >= horizon
+	}
+	for {
+		if _, more := r.group.StepWindow(horizon); !more {
+			for i := 0; i < r.group.NumShards(); i++ {
+				r.group.Shard(i).Run(horizon)
+			}
+			r.group.Close()
+			return true
 		}
-		row++
-	}
-
-	r.numRows = numRows
-	return r
-}
-
-// settle advances every shard clock to the horizon after StepWindow has
-// drained the event queues — the trailing clock sweep ShardGroup.Run
-// performs itself. Live drivers looping StepWindow call it once before
-// finish.
-func (r *shardedRun) settle() {
-	for i := 0; i < r.group.NumShards(); i++ {
-		r.group.Shard(i).Run(r.sc.Spec.Horizon)
+		if t < horizon && r.now() >= t {
+			return false
+		}
 	}
 }
 
-// finish seals a sharded run whose group has reached the horizon:
-// releases the worker pool, stops the per-district tickers, merges the
-// checkpoint rows and evaluates the assertions — the exact epilogue the
-// batch path always ran.
-func (r *shardedRun) finish() *ScenarioResult {
-	r.group.Close()
+// now is the run's sim time: the slowest district's clock (the
+// conservative bound on what has definitely happened).
+func (r *shardedRun) now() float64 {
+	now := r.sc.Spec.Horizon
 	for _, d := range r.ds {
-		d.n.StopPulses()
-		d.tel.Stop()
+		now = min(now, d.n.K.Now())
 	}
-	res := &ScenarioResult{Title: r.sc.Spec.Title}
-	res.Rows = r.mergeRows(r.numRows)
-	res.Verdicts = r.evaluate()
-	return res
+	return now
 }
 
-// capture snapshots the district at checkpoint row.
-func (d *shardDistrict) capture(row int) {
+// qos is the run's scorecard set: the single district's live set, or
+// for several districts a fresh merge of theirs (registration order by
+// district, then first use).
+func (r *shardedRun) qos() *telemetry.ScoreSet {
+	if len(r.ds) == 1 {
+		return r.ds[0].tel.QoS
+	}
+	merged := telemetry.NewScoreSet()
+	for _, d := range r.ds {
+		merged.MergeFrom(d.tel.QoS)
+	}
+	return merged
+}
+
+// fleetTotals sums the districts' fleet counters.
+type fleetTotals struct {
+	alive, ships             int
+	delivered, lost, repairs uint64
+}
+
+func (t fleetTotals) aliveFrac() float64 { return float64(t.alive) / float64(t.ships) }
+
+func (r *shardedRun) totals() fleetTotals {
+	var t fleetTotals
+	for _, d := range r.ds {
+		t.delivered += d.n.DeliveredShuttles
+		t.lost += d.n.LostShuttles
+		t.repairs += d.repairs()
+		t.ships += len(d.n.Ships)
+		for _, s := range d.n.Ships {
+			if s.State() == ship.Alive {
+				t.alive++
+			}
+		}
+	}
+	return t
+}
+
+// checkpoint captures district d at checkpoint row i. A lone district's
+// row is final once captured, so it folds at once, reading the live
+// latency histogram. With several districts each capture keeps a copy of
+// its histogram until finish folds the rows after the run.
+func (r *shardedRun) checkpoint(d *shardDistrict, i int) {
+	lone := len(r.ds) == 1
+	d.capture(i, !lone)
+	if lone {
+		r.rows = append(r.rows, r.fold(i))
+	}
+}
+
+// capture snapshots the district at checkpoint row, copying the latency
+// histogram when copyLat is set.
+func (d *shardDistrict) capture(row int, copyLat bool) {
 	c := &d.checks[row]
 	c.roleCounts = make([]int, roles.NumKinds)
 	for _, s := range d.n.Ships {
@@ -391,225 +345,58 @@ func (d *shardDistrict) capture(row int) {
 	f := d.tel.Flow("")
 	rep := d.tel.QoS.Report(f)
 	c.qosSent, c.qosDeliv = rep.Sent, rep.Delivered
-	c.lat = telemetry.NewHist()
-	c.lat.Merge(d.tel.QoS.Latency(f))
+	c.lat = d.tel.QoS.Latency(f)
+	if copyLat {
+		c.lat = telemetry.NewHist()
+		c.lat.Merge(d.tel.QoS.Latency(f))
+	}
 }
 
-// mergeRows folds the per-district checkpoints into global rows: counts
+// fold merges checkpoint row i of every district into one row: counts
 // sum, entropy is computed over the summed role counts, and the latency
-// quantile columns come from the exactly merged histograms.
-func (r *shardedRun) mergeRows(numRows int) []ScenarioRow {
-	sp := r.sc.Spec
-	rows := make([]ScenarioRow, 0, numRows)
-	row := 0
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		var alive, links int
-		var delivered, lost, repairs, partitions, sent, deliv uint64
-		counts := make([]int, roles.NumKinds)
-		lat := telemetry.NewHist()
-		for _, d := range r.ds {
-			c := &d.checks[row]
-			alive += c.alive
-			links += c.links
-			delivered += c.delivered
-			lost += c.lost
-			repairs += c.repairs
-			partitions += c.partitions
-			sent += c.qosSent
-			deliv += c.qosDeliv
-			for i, n := range c.roleCounts {
-				counts[i] += n
-			}
+// quantile columns come from the exactly merged histograms (merged into
+// district 0's snapshot, which nothing reads afterwards). For one
+// district every fold is the identity: its histogram is read as
+// captured, and the entropy of its counts is metamorph.RoleEntropy.
+func (r *shardedRun) fold(i int) ScenarioRow {
+	var alive, links int
+	var delivered, lost, repairs, partitions, sent, deliv uint64
+	counts := make([]int, roles.NumKinds)
+	lat := r.ds[0].checks[i].lat
+	for di, d := range r.ds {
+		c := &d.checks[i]
+		alive += c.alive
+		links += c.links
+		delivered += c.delivered
+		lost += c.lost
+		repairs += c.repairs
+		partitions += c.partitions
+		sent += c.qosSent
+		deliv += c.qosDeliv
+		for k, n := range c.roleCounts {
+			counts[k] += n
+		}
+		if di > 0 {
 			lat.Merge(c.lat)
 		}
-		slo := 0.0
-		if r.sc.slo.Check(sent, deliv, lat) {
-			slo = 1
-		}
-		rows = append(rows, ScenarioRow{
-			T:          t,
-			AliveFrac:  float64(alive) / float64(sp.Ships),
-			LinksUp:    links,
-			Delivered:  delivered,
-			Lost:       lost,
-			Repairs:    repairs,
-			Partitions: partitions,
-			Entropy:    stats.Entropy(counts),
-			P50ms:      lat.Quantile(0.50) * 1e3,
-			P95ms:      lat.Quantile(0.95) * 1e3,
-			P99ms:      lat.Quantile(0.99) * 1e3,
-			SLOOK:      slo,
-		})
-		row++
+		c.lat = nil
 	}
-	return rows
-}
-
-// armShardTraffic arms one generator on district d over its local ships.
-// Random-pair generators run in every district; fixed-pair generators
-// (onoff, cbr) run only in the district that owns the pair.
-func (r *shardedRun) armShardTraffic(d *shardDistrict, tr *scenario.Traffic, zipf *workload.Zipf) {
-	n, per, rng := d.n, r.per, d.rng
-	k := n.K
-	send := func(src, dst int) {
-		n.SendShuttle(n.NewShuttle(shuttle.Data, src, dst), tr.Overlay)
+	slo := 0.0
+	if r.sc.slo.Check(sent, deliv, lat) {
+		slo = 1
 	}
-	gated := func() bool { return inWindow(k.Now(), tr.Start, tr.Stop) }
-	switch tr.Kind {
-	case scenario.TrafficUniform:
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(per), rng.Intn(per)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficDistrict:
-		tries := tr.Tries
-		if tries == 0 {
-			tries = 64
-		}
-		maxDist := tr.MaxDist
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src := rng.Intn(per)
-			pos := d.positions()
-			for try := 0; try < tries; try++ {
-				dst := rng.Intn(per)
-				if dst == src || pos[src].Dist(pos[dst]) > maxDist {
-					continue
-				}
-				send(src, dst)
-				break
-			}
-		})
-	case scenario.TrafficPoisson:
-		workload.Poisson(k, rng, tr.Rate, func(int) {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(per), rng.Intn(per)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficHotspot:
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src := rng.Intn(per)
-			dst := zipf.Draw(rng)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficOnOff:
-		if tr.Src/per != d.id {
-			return
-		}
-		src, dst := tr.Src%per, tr.Dst%per
-		workload.OnOff(k, rng, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), tr.OnMean, tr.OffMean, scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(src, dst)
-			})
-	case scenario.TrafficCBR:
-		if tr.Src/per != d.id {
-			return
-		}
-		src, dst := tr.Src%per, tr.Dst%per
-		workload.CBR(k, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(src, dst)
-			})
+	return ScenarioRow{
+		T:          r.sc.rowAt[i],
+		AliveFrac:  float64(alive) / float64(r.sc.Spec.Ships),
+		LinksUp:    links,
+		Delivered:  delivered,
+		Lost:       lost,
+		Repairs:    repairs,
+		Partitions: partitions,
+		Entropy:    stats.Entropy(counts),
+		P50ms:      lat.Quantile(0.50) * 1e3,
+		P95ms:      lat.Quantile(0.95) * 1e3,
+		P99ms:      lat.Quantile(0.99) * 1e3,
+		SLOOK:      slo,
 	}
-}
-
-// evaluate renders the spec's assertions against the merged run: flow
-// assertions against the districts' merged scorecards, scenario-level
-// predicates against the summed counters.
-func (r *shardedRun) evaluate() []scenario.Verdict {
-	a := &r.sc.Spec.Asserts
-	merged := telemetry.NewScoreSet()
-	var deliveredShuttles, lostShuttles, repairs uint64
-	alive, total, excluded := 0, 0, 0
-	for _, d := range r.ds {
-		merged.MergeFrom(d.tel.QoS)
-		deliveredShuttles += d.n.DeliveredShuttles
-		lostShuttles += d.n.LostShuttles
-		repairs += d.repairs()
-		for _, s := range d.n.Ships {
-			total++
-			if s.State() == ship.Alive {
-				alive++
-			}
-		}
-		excluded += d.n.Community.ExcludedCount()
-	}
-	var out []scenario.Verdict
-	for _, fa := range a.Flows {
-		f := merged.Flow(flowName(fa.Flow), r.sc.slo)
-		rep := merged.Report(f)
-		slo := telemetry.SLO{Quantile: fa.Quantile, MaxLatency: fa.MaxLatency, MinDeliveryRatio: fa.MinDeliveryRatio}
-		pass := slo.Check(rep.Sent, rep.Delivered, merged.Latency(f))
-		detail := fmt.Sprintf("delivered %d/%d (ratio %.3f)", rep.Delivered, rep.Sent, rep.DeliveryRatio)
-		if fa.MaxLatency > 0 {
-			q := merged.Latency(f).Quantile(fa.Quantile)
-			detail += fmt.Sprintf(", p%v latency %.4gs (bound %.4gs)", fa.Quantile*100, q, fa.MaxLatency)
-		}
-		out = append(out, scenario.Verdict{
-			Name:   fmt.Sprintf("flow %q slo", flowName(fa.Flow)),
-			Pass:   pass,
-			Detail: detail,
-		})
-	}
-	if a.MinDelivered > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_delivered", Pass: deliveredShuttles >= a.MinDelivered,
-			Detail: fmt.Sprintf("delivered %d (floor %d)", deliveredShuttles, a.MinDelivered),
-		})
-	}
-	if a.MaxLossRatio > 0 {
-		sum := deliveredShuttles + lostShuttles
-		ratio := 0.0
-		if sum > 0 {
-			ratio = float64(lostShuttles) / float64(sum)
-		}
-		out = append(out, scenario.Verdict{
-			Name: "max_loss_ratio", Pass: ratio <= a.MaxLossRatio,
-			Detail: fmt.Sprintf("loss ratio %.3f (cap %.3f)", ratio, a.MaxLossRatio),
-		})
-	}
-	if a.MinAliveFrac > 0 {
-		frac := float64(alive) / float64(total)
-		out = append(out, scenario.Verdict{
-			Name: "min_alive_frac", Pass: frac >= a.MinAliveFrac,
-			Detail: fmt.Sprintf("alive fraction %.3f (floor %.3f)", frac, a.MinAliveFrac),
-		})
-	}
-	if a.MinRepairs > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_repairs", Pass: repairs >= a.MinRepairs,
-			Detail: fmt.Sprintf("repairs %d (floor %d)", repairs, a.MinRepairs),
-		})
-	}
-	if a.MinExcluded > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_excluded", Pass: excluded >= a.MinExcluded,
-			Detail: fmt.Sprintf("excluded %d (floor %d)", excluded, a.MinExcluded),
-		})
-	}
-	return out
 }
