@@ -269,6 +269,7 @@ func BenchmarkSpecStateExploration(b *testing.B) {
 }
 
 func BenchmarkJetEpidemic(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(16, uint64(i))
 		cfg.Graph = topo.Grid(4, 4)

@@ -53,7 +53,7 @@ func main() {
 		{300, 200, 1500}, // over limit, big packet: drop
 		{300, 200, 40},   // over limit but tiny: admit
 	} {
-		verdict, _, err := ee.Execute(prog, map[int]int64{0: tc.rate, 1: tc.limit, 2: tc.size})
+		verdict, _, err := ee.Execute(prog, tc.rate, tc.limit, tc.size)
 		if err != nil {
 			panic(err)
 		}
@@ -75,6 +75,6 @@ func main() {
 	net.SendShuttle(up, "")
 	net.Run(10)
 	prog2, _ := remote.OS.Store.Get("police-v1")
-	verdict, _, _ := ee.Execute(prog2, map[int]int64{0: 100, 1: 200, 2: 1500})
+	verdict, _, _ := ee.Execute(prog2, 100, 200, 1500)
 	fmt.Printf("after hot upgrade, big packet under limit -> admitted=%v (stricter policy)\n", verdict != 0)
 }

@@ -129,6 +129,12 @@ type EE struct {
 	hosts map[int64]vm.HostFunc
 	ids   []int64
 
+	// m is the EE's reusable machine, created on the first Execute and
+	// reset for every later one; busy marks it as mid-run, so a nested
+	// Execute from a host function gets a machine of its own.
+	m    *vm.Machine
+	busy bool
+
 	// Executed / Failed count capsule runs; GasUsed accumulates.
 	Executed uint64
 	Failed   uint64
@@ -151,22 +157,27 @@ func (e *EE) HostIDs() []int64 {
 }
 
 // Execute runs a capsule program in this EE with the EE's gas limit and
-// host bindings. regs presets registers (argument passing); the final
-// register file is readable from the returned machine.
-func (e *EE) Execute(p vm.Program, regs map[int]int64) (result int64, m *vm.Machine, err error) {
-	m = vm.NewMachine(p, e.GasLimit)
-	for _, id := range e.ids {
-		m.Bind(id, e.hosts[id])
+// host bindings. regs presets registers 0, 1, … in order (argument
+// passing). The final register file is readable from the returned
+// machine until the next Execute on this EE, which reuses it.
+//
+//viator:noalloc
+func (e *EE) Execute(p vm.Program, regs ...int64) (result int64, m *vm.Machine, err error) {
+	m = e.m
+	nested := e.busy
+	if m == nil || nested {
+		m = new(vm.Machine) //viator:alloc-ok once per EE, plus one per nested Execute from a host function
+		if !nested {
+			e.m = m
+		}
 	}
-	ris := make([]int, 0, len(regs))
-	for i := range regs {
-		ris = append(ris, i)
+	m.Reset(p, e.GasLimit, e.hosts)
+	for i, v := range regs {
+		m.SetReg(i, v) //viator:alloc-ok panic path inside inlined SetReg: more than NumRegisters arguments is a caller bug
 	}
-	sort.Ints(ris)
-	for _, i := range ris {
-		m.SetReg(i, regs[i])
-	}
+	e.busy = true
 	result, err = m.Run()
+	e.busy = nested
 	e.GasUsed += m.GasUsed()
 	if err != nil {
 		e.Failed++

@@ -83,7 +83,7 @@ func TestEEExecuteAccounting(t *testing.T) {
 	n := New(rsrc(100, 100, 100), 0)
 	ee, _ := n.RegisterEE("main", rsrc(1, 1, 1), 1000)
 	p := vm.MustAssemble("LOAD 0\nPUSH 2\nMUL\nHALT")
-	res, _, err := ee.Execute(p, map[int]int64{0: 21})
+	res, _, err := ee.Execute(p, 21)
 	if err != nil || res != 42 {
 		t.Fatalf("result = %d, %v", res, err)
 	}
@@ -92,7 +92,7 @@ func TestEEExecuteAccounting(t *testing.T) {
 	}
 	// A failing capsule increments Failed and still bills gas.
 	gasBefore := ee.GasUsed
-	if _, _, err := ee.Execute(vm.MustAssemble("loop: JMP loop"), nil); err == nil {
+	if _, _, err := ee.Execute(vm.MustAssemble("loop: JMP loop")); err == nil {
 		t.Fatal("infinite capsule succeeded")
 	}
 	if ee.Failed != 1 || ee.GasUsed <= gasBefore {
@@ -110,7 +110,7 @@ func TestEEHostBindings(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
 		t.Fatalf("host ids = %v", ids)
 	}
-	res, _, err := ee.Execute(vm.MustAssemble("HOST 7\nHALT"), nil)
+	res, _, err := ee.Execute(vm.MustAssemble("HOST 7\nHALT"))
 	if err != nil || res != 456 {
 		t.Fatalf("rebind not effective: %d, %v", res, err)
 	}

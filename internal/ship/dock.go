@@ -2,6 +2,7 @@ package ship
 
 import (
 	"fmt"
+	"strconv"
 
 	"viator/internal/hw"
 	"viator/internal/kq"
@@ -52,7 +53,7 @@ func (s *Ship) Dock(sh *shuttle.Shuttle, now float64) (*DockResult, error) {
 	switch sh.Kind {
 	case shuttle.Data:
 		// Data shuttles flow through the modal function.
-		s.modalProc.Process(roles.Chunk{Stream: fmt.Sprint(sh.Src), Seq: int(sh.ID), Bytes: sh.WireSize()})
+		s.modalProc.Process(roles.Chunk{Stream: strconv.Itoa(int(sh.Src)), Seq: int(sh.ID), Bytes: sh.WireSize()})
 	case shuttle.Code:
 		if err := s.installCode(sh, res); err != nil {
 			return res, err
@@ -156,42 +157,74 @@ func (s *Ship) runJet(sh *shuttle.Shuttle, now float64, res *DockResult) error {
 	if len(sh.Code) == 0 {
 		return fmt.Errorf("ship: jet without code")
 	}
-	prog, err := vm.Decode(sh.Code)
+	if s.jet == nil {
+		s.jet = new(jetContext)
+	}
+	jc := s.jet
+	prog, err := vm.DecodeInto(jc.prog, sh.Code)
 	if err != nil {
 		return fmt.Errorf("ship: bad jet code: %w", err)
 	}
+	jc.prog = prog
 	ee, ok := s.OS.EE("modal")
 	if !ok {
 		return fmt.Errorf("ship: modal EE missing")
 	}
-	jc := &jetContext{ship: s, jet: sh, now: now}
-	s.bindHosts(ee, jc)
-	result, _, err := ee.Execute(prog, map[int]int64{0: int64(s.ID), 1: int64(s.modal)})
-	// Rebind without jet context so stray HostReplicate calls from
-	// non-jet code fail cleanly afterwards.
-	s.bindHosts(ee, nil)
+	// The host closures see this jet only while it runs: clearing the
+	// context afterwards makes stray HostReplicate calls from non-jet
+	// code fail cleanly and keeps the ship from holding the shuttle.
+	jc.sh, jc.now = sh, now
+	result, _, err := ee.Execute(prog, int64(s.ID), int64(s.modal))
+	replicas := jc.replicas
+	jc.sh, jc.now, jc.replicas = nil, 0, nil
 	if err != nil {
 		s.ExecFailed++
 		return fmt.Errorf("ship: jet execution: %w", err)
 	}
 	s.Executed++
 	res.Result = result
-	res.Replicas = jc.replicas
+	res.Replicas = replicas
 	res.Latency += float64(len(prog)) * 1e-6
 	return nil
 }
 
-// jetContext carries per-execution state for jet host calls.
+// jetContext is a ship's jet-execution state, created on its first jet.
+// prog is the decode buffer reused across jets; sh, now and replicas
+// describe the jet running right now and are empty between jets.
 type jetContext struct {
-	ship     *Ship
-	jet      *shuttle.Shuttle
+	prog     vm.Program
+	sh       *shuttle.Shuttle
 	now      float64
 	replicas []*shuttle.Shuttle
 }
 
-// bindHosts installs the ship host interface into an EE. jc may be nil
-// (non-jet execution), in which case HostReplicate reports failure.
-func (s *Ship) bindHosts(ee *nodeos.EE, jc *jetContext) {
+// runningJet returns the context of the jet executing on s, or nil when
+// the current code is not a jet.
+func (s *Ship) runningJet() *jetContext {
+	if s.jet == nil || s.jet.sh == nil {
+		return nil
+	}
+	return s.jet
+}
+
+// hostNow is the simulated time host calls observe: the docking jet's, or 0
+// for non-jet code.
+func (s *Ship) hostNow() float64 {
+	if jc := s.runningJet(); jc != nil {
+		return jc.now
+	}
+	return 0
+}
+
+// factID names the fact a host call refers to by number.
+func factID(f int64) kq.FactID {
+	return kq.FactID("fact:" + strconv.FormatInt(f, 10))
+}
+
+// bindHosts installs the ship host interface into an EE, once, when the
+// EE is registered. The closures find the running jet (if any) through
+// runningJet; without one, HostReplicate reports failure.
+func (s *Ship) bindHosts(ee *nodeos.EE) {
 	ee.Bind(HostGetRole, func(m *vm.Machine) error {
 		return m.PushResult(int64(s.modal))
 	})
@@ -220,11 +253,7 @@ func (s *Ship) bindHosts(ee *nodeos.EE, jc *jetContext) {
 		if w < 0 {
 			w = 0
 		}
-		now := 0.0
-		if jc != nil {
-			now = jc.now
-		}
-		s.KB.Observe(kq.FactID(fmt.Sprintf("fact:%d", f)), float64(w), now)
+		s.KB.Observe(factID(f), float64(w), s.hostNow())
 		return nil
 	})
 	ee.Bind(HostGetClass, func(m *vm.Machine) error {
@@ -245,11 +274,7 @@ func (s *Ship) bindHosts(ee *nodeos.EE, jc *jetContext) {
 		if err != nil {
 			return err
 		}
-		now := 0.0
-		if jc != nil {
-			now = jc.now
-		}
-		if s.KB.Alive(kq.FactID(fmt.Sprintf("fact:%d", f)), now) {
+		if s.KB.Alive(factID(f), s.hostNow()) {
 			return m.PushResult(1)
 		}
 		return m.PushResult(0)
@@ -259,12 +284,13 @@ func (s *Ship) bindHosts(ee *nodeos.EE, jc *jetContext) {
 		if err != nil {
 			return err
 		}
+		jc := s.runningJet()
 		if jc == nil {
 			return m.PushResult(0)
 		}
 		granted := int64(0)
 		for i := int64(0); i < count && i < 8; i++ {
-			rep, err := jc.jet.Replicate(s.allocID())
+			rep, err := jc.sh.Replicate(s.allocID())
 			if err != nil {
 				break
 			}

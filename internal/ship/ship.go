@@ -120,18 +120,22 @@ type Ship struct {
 	ployon.Ployon
 	cfg   Config
 	state State
+	// modal sits beside state so the two one-byte fields share a word:
+	// a fleet holds one Ship per node, and each 8 bytes can tip it into
+	// the next allocation size class.
+	modal roles.Kind
 
 	OS     *nodeos.NodeOS
 	Fabric *hw.Fabric // nil below generation 3
 	KB     *kq.Store
 
-	modal        roles.Kind
 	modalProc    roles.Processor
 	aux          map[roles.Kind]roles.Processor
 	auxOrder     []roles.Kind
 	next         roles.NextStepSwitch
 	nextID       ployon.ID // allocator for replicas this ship creates
 	roleSwitches int
+	jet          *jetContext // nil until the ship runs its first jet
 
 	// Counters the experiments read.
 	Docked       uint64
@@ -174,7 +178,7 @@ func New(cfg Config) *Ship {
 	if err != nil {
 		panic("ship: modal EE admission failed: " + err.Error())
 	}
-	s.bindHosts(ee, nil)
+	s.bindHosts(ee)
 	return s
 }
 
@@ -285,7 +289,7 @@ func (s *Ship) InstallAux(k roles.Kind) error {
 	if err != nil {
 		return err
 	}
-	s.bindHosts(ee, nil)
+	s.bindHosts(ee)
 	s.aux[k] = roles.NewProcessor(k)
 	s.auxOrder = append(s.auxOrder, k)
 	return nil

@@ -30,34 +30,45 @@ func Encode(p Program) []byte {
 }
 
 // Decode parses the wire format back into a Program, validating opcodes.
-func Decode(b []byte) (Program, error) {
+func Decode(b []byte) (Program, error) { return DecodeInto(nil, b) }
+
+// DecodeInto is Decode into dst's backing array: the same validation, but
+// a dst with enough capacity is reused instead of allocating, so a ship
+// decoding one jet after another keeps a single buffer. On error it
+// returns nil and dst's contents are unspecified.
+//
+//viator:noalloc
+func DecodeInto(dst Program, b []byte) (Program, error) {
 	if len(b) == 0 || b[0] != magicByte {
-		return nil, fmt.Errorf("%w: bad magic", ErrCodec)
+		return nil, fmt.Errorf("%w: bad magic", ErrCodec) //viator:alloc-ok error path: malformed code is refused, never the steady state
 	}
 	b = b[1:]
 	n, k := binary.Uvarint(b)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad count", ErrCodec)
+		return nil, fmt.Errorf("%w: bad count", ErrCodec) //viator:alloc-ok error path: malformed code is refused, never the steady state
 	}
 	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: unreasonable program size %d", ErrCodec, n)
+		return nil, fmt.Errorf("%w: unreasonable program size %d", ErrCodec, n) //viator:alloc-ok error path: malformed code is refused, never the steady state
 	}
 	b = b[k:]
-	prog := make(Program, 0, n)
+	prog := dst[:0]
+	if dst == nil || uint64(cap(dst)) < n { // nil: Decode returns a non-nil empty program for n == 0
+		prog = make(Program, 0, n) //viator:alloc-ok first decode or a longer program grows the buffer; warm decodes reuse it
+	}
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
-			return nil, fmt.Errorf("%w: truncated at instruction %d", ErrCodec, i)
+			return nil, fmt.Errorf("%w: truncated at instruction %d", ErrCodec, i) //viator:alloc-ok error path: malformed code is refused, never the steady state
 		}
 		op := Op(b[0])
 		if op >= numOps {
-			return nil, fmt.Errorf("%w: opcode %d", ErrCodec, op)
+			return nil, fmt.Errorf("%w: opcode %d", ErrCodec, op) //viator:alloc-ok error path: malformed code is refused, never the steady state
 		}
 		b = b[1:]
 		in := Instr{Op: op}
 		if op.hasOperand() {
 			v, k := binary.Varint(b)
 			if k <= 0 {
-				return nil, fmt.Errorf("%w: truncated operand at %d", ErrCodec, i)
+				return nil, fmt.Errorf("%w: truncated operand at %d", ErrCodec, i) //viator:alloc-ok error path: malformed code is refused, never the steady state
 			}
 			in.Arg = v
 			b = b[k:]
@@ -65,7 +76,7 @@ func Decode(b []byte) (Program, error) {
 		prog = append(prog, in)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(b))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(b)) //viator:alloc-ok error path: malformed code is refused, never the steady state
 	}
 	return prog, nil
 }

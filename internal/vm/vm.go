@@ -131,6 +131,24 @@ func NewMachine(p Program, gas int64) *Machine {
 	return &Machine{prog: p, gas: gas, hosts: make(map[int64]HostFunc)}
 }
 
+// Reset rewinds m to run p from the start with a fresh gas budget, as if
+// it were new: pc, gas used, registers and stack are cleared (the stack
+// keeps its capacity). The machine shares hosts instead of copying it,
+// so a Bind on m after Reset writes into the caller's table. A long-lived
+// owner (one machine per execution environment) runs program after
+// program through it without allocating.
+//
+//viator:noalloc
+func (m *Machine) Reset(p Program, gas int64, hosts map[int64]HostFunc) {
+	m.prog = p
+	m.stack = m.stack[:0]
+	m.regs = [NumRegisters]int64{}
+	m.hosts = hosts
+	m.gas = gas
+	m.used = 0
+	m.pc = 0
+}
+
 // Bind registers host function id → fn.
 func (m *Machine) Bind(id int64, fn HostFunc) { m.hosts[id] = fn }
 

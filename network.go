@@ -306,8 +306,11 @@ func (n *Network) dock(i int, sh *shuttle.Shuttle) {
 	}
 	n.DeliveredShuttles++
 	// Jets: forward replicas to random neighbors (epidemic spread).
+	var nbrs []topo.NodeID
+	if len(res.Replicas) > 0 {
+		nbrs = n.G.Neighbors(topo.NodeID(i))
+	}
 	for _, rep := range res.Replicas {
-		nbrs := n.G.Neighbors(topo.NodeID(i))
 		if len(nbrs) == 0 {
 			break
 		}
