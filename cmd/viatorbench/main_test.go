@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"viator/internal/benchprobe"
 )
 
 // miniSpec is a sub-second scenario used to exercise the CLI paths
@@ -42,7 +45,7 @@ func writeSpec(t *testing.T, dir, name, body string) string {
 }
 
 func TestBenchFlagSet(t *testing.T) {
-	for _, s := range []string{"kernel", "routing", "mobility", "telemetry", "principles", "shard", "serve", "all"} {
+	for _, s := range append(benchprobe.Suites(), benchprobe.All) {
 		if err := checkBenchSuite(s); err != nil {
 			t.Fatalf("-bench %s: %v", s, err)
 		}
@@ -53,6 +56,43 @@ func TestBenchFlagSet(t *testing.T) {
 	code, _, errOut := runCLI(t, "-bench", "bogus")
 	if code != 2 || !strings.Contains(errOut, "bogus") || !strings.Contains(errOut, "valid -bench suites") {
 		t.Fatalf("-bench bogus: exit %d, stderr:\n%s", code, errOut)
+	}
+}
+
+// TestBenchSuiteSelect checks the -bench filter against the table by
+// name only (no body runs): a suite selects exactly its own rows in
+// table order, and "all" selects the whole table.
+func TestBenchSuiteSelect(t *testing.T) {
+	rows := benchprobe.Table(42, 0)
+	names := func(rs []benchprobe.Bench) []string {
+		var n []string
+		for _, r := range rs {
+			n = append(n, r.Name)
+		}
+		return n
+	}
+	total := 0
+	for _, suite := range benchprobe.Suites() {
+		var want []string
+		for _, r := range rows {
+			if r.Suite == suite {
+				want = append(want, r.Name)
+			}
+		}
+		got := names(benchprobe.Select(rows, suite))
+		if len(got) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("-bench %s selects %v, want %v", suite, got, want)
+		}
+		total += len(got)
+	}
+	if total != len(rows) {
+		t.Fatalf("suites cover %d of %d rows", total, len(rows))
+	}
+	if got := names(benchprobe.Select(rows, benchprobe.All)); !slices.Equal(got, names(rows)) {
+		t.Fatalf("-bench all selects %v, want the whole table %v", got, names(rows))
+	}
+	if got := benchprobe.Select(rows, "bogus"); len(got) != 0 {
+		t.Fatalf("-bench bogus selects %v", names(got))
 	}
 }
 

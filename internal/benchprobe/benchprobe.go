@@ -1,80 +1,149 @@
-// Package benchprobe holds the substrate benchmark bodies shared between
-// the `go test -bench` suite (bench_test.go) and the `viatorbench -bench`
-// JSON artifact, so CI's benchmark step and BENCH_kernel.json always
-// measure the same loops and cannot silently diverge.
+// Package benchprobe owns the micro-benchmark table: every benchmark
+// body, the name it is reported under and the suite it belongs to,
+// written once. Both drivers iterate the same rows: the root package's
+// `go test -bench 'Suite/<suite>/'` runs them as sub-benchmarks, and
+// `viatorbench -bench <suite|all>` runs them through testing.Benchmark
+// and emits JSON. Neither keeps a list of its own, so the two can never
+// measure different loops or disagree on a suite's members.
 package benchprobe
 
 import (
+	"fmt"
 	"testing"
 
 	"viator/internal/mobility"
-	"viator/internal/netsim"
 	"viator/internal/routing"
 	"viator/internal/sim"
 	"viator/internal/telemetry"
 	"viator/internal/topo"
 )
 
-// KernelScheduleFire measures the kernel's schedule/fire hot path: one
-// After per op, batch-firing every 1024 events. Steady state is 0
-// allocs/op — every slot comes off the arena free list.
-func KernelScheduleFire(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.After(1, func() {})
-		if k.Pending() > 1024 {
-			k.Run(k.Now() + 0.5)
-		}
-	}
-	k.Drain()
+// Bench is one row of the benchmark table.
+type Bench struct {
+	Suite string             // the `viatorbench -bench` selector that runs it
+	Name  string             // reported name, `<area>.<what>`
+	Fn    func(b *testing.B) // the measured body
 }
 
-// NetsimSendDeliver measures the per-packet transmit path: enqueue onto a
-// link's ring queue, one serialization event, one arrival event, delivery
-// through the persistent per-link state machine. The single alloc/op is
-// the packet itself.
-func NetsimSendDeliver(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel(1)
-	g := topo.New()
-	g.AddNodes(2)
-	g.Connect(0, 1, 1)
-	n := netsim.New(k, g)
-	n.SetLinkProps(0, netsim.LinkProps{Bandwidth: 1e9, Delay: 0.0001, QueueCap: 1 << 30})
-	delivered := 0
-	n.OnReceive(func(at topo.NodeID, p *netsim.Packet) { delivered++ })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(0, 1, n.NewPacket(0, 1, 1000, "bench", nil))
-		if i%1024 == 1023 {
-			k.Drain()
+// All is the selector that runs every suite.
+const All = "all"
+
+// Table returns every benchmark row in order, grouped by suite. seed
+// parameterises the bodies that build a seeded workload; workers is the
+// replicate-pool width of the replicated-harness row.
+func Table(seed uint64, workers int) []Bench {
+	var t []Bench
+	suite := func(name string, rows ...Bench) {
+		for _, r := range rows {
+			r.Suite = name
+			t = append(t, r)
 		}
 	}
-	k.Drain()
-	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
+	row := func(name string, fn func(b *testing.B)) Bench { return Bench{Name: name, Fn: fn} }
+
+	// The substrate: kernel, transport, VM, codec, fabric, roles, spec
+	// checker, and one replicated E1 run through the whole harness.
+	suite("kernel",
+		row("kernel.schedule_fire", kernelScheduleFire),
+		row("kernel.schedule_cancel", kernelScheduleCancel),
+		row("kernel.ticker", kernelTicker),
+		row("netsim.send_deliver", netsimSendDeliver),
+		row("netsim.forwarding", netsimForwarding),
+		row("vm.execution", vmExecution),
+		row("shuttle.codec", shuttleCodec),
+		row("hw.fabric_reconfigure", fabricReconfigure),
+		row("hw.fabric_eval", fabricEval),
+		row("roles.fusion_pipeline", roleFusionPipeline),
+		row("spec.state_exploration", specStateExploration),
+		row("e1.replicated_4x", replicated("E1", 4, seed, workers)),
+	)
+	// The adaptive control plane on an S1-sized radio mesh (1000 nodes,
+	// ~16k links, 2 overlays).
+	suite("routing",
+		row("routing.pulse_steady", adaptivePulseSteady(seed)),
+		row("routing.pulse_lazy_sparse", adaptivePulseLazySparse(seed)),
+		row("routing.pulse_rebuild", adaptivePulseRebuild(seed)),
+		row("routing.next_hop", adaptiveNextHop(seed)),
+	)
+	// The physical layer at S1 scale (1000 mobile ships, radius 75), plus
+	// one full S2 megalopolis run (10k ships).
+	suite("mobility",
+		row("mobility.connectivity_grid", connectivityGrid(seed)),
+		row("mobility.connectivity_incremental", connectivityIncremental(seed)),
+		row("mobility.step", mobilityStep(seed)),
+		row("s2.megalopolis_run", replicated("S2", 1, seed, 1)),
+	)
+	// Streaming-telemetry hot paths; zero allocs on every observe side.
+	suite("telemetry",
+		row("telemetry.hist_observe", histObserve),
+		row("telemetry.hist_quantile", histQuantile),
+		row("telemetry.hist_merge", histMerge),
+		row("telemetry.recorder_tick", recorderTick),
+		row("telemetry.scorecard_delivered", scorecardDelivered),
+	)
+	// Each principle engine's steady-state hot path at the S2 fleet size,
+	// plus a small jet epidemic through the whole network model.
+	suite("principles",
+		row("principles.gossip_round", gossipRound(seed)),
+		row("principles.form_clusters_steady", formClustersSteady(seed)),
+		row("principles.form_clusters_rebuild", formClustersRebuild(seed)),
+		row("principles.observe_facts", observeFacts(seed)),
+		row("principles.emerge_frontier", emergeFrontier(seed)),
+		row("principles.feedback_publish_key", feedbackPublishKey),
+		row("principles.metamorph_pulse", metamorphPulse(seed)),
+		row("principles.jet_epidemic", jetEpidemic),
+	)
+	// The space-partitioned executor: the raw mailbox cycle, then the
+	// windowed protocol and the S3 smoke continent at 1/2/4/8 kernels.
+	ks := []int{1, 2, 4, 8}
+	shard := []Bench{row("shard.mailbox_cycle", shardMailbox)}
+	for _, k := range ks {
+		shard = append(shard, row(fmt.Sprintf("shard.group_windowed_k%d", k), shardGroupWindowed(k, 64)))
 	}
+	for _, k := range ks {
+		shard = append(shard, row(fmt.Sprintf("shard.s3_smoke_k%d", k), s3Smoke(k, seed)))
+	}
+	suite("shard", shard...)
+	// The live service: per-barrier snapshot publication and one run's
+	// share of a /metrics scrape.
+	suite("serve",
+		row("serve.snapshot_publish", serveSnapshotPublish),
+		row("serve.metrics_render", metricsRender),
+	)
+	return t
 }
 
-// Replicated measures one end-to-end replicated harness invocation per
-// op. The run closure is injected by the caller (the root viator package
-// cannot be imported from here without a cycle through its own tests).
-func Replicated(b *testing.B, run func() error) {
-	for i := 0; i < b.N; i++ {
-		if err := run(); err != nil {
-			b.Fatal(err)
+// Suites returns the table's suite names in table order.
+func Suites() []string {
+	var names []string
+	for _, r := range Table(0, 0) {
+		if len(names) == 0 || names[len(names)-1] != r.Suite {
+			names = append(names, r.Suite)
 		}
 	}
+	return names
 }
 
-// --- routing control-plane benchmarks (BENCH_routing.json) ---
+// Select returns the rows of one suite in table order, or every row for
+// All. An unknown suite selects nothing.
+func Select(rows []Bench, suite string) []Bench {
+	if suite == All {
+		return rows
+	}
+	var sel []Bench
+	for _, r := range rows {
+		if r.Suite == suite {
+			sel = append(sel, r)
+		}
+	}
+	return sel
+}
+
+// --- routing control-plane benchmarks (suite "routing") ---
 //
 // Each body is a constructor taking the topology seed and returning the
-// benchmark func, so the seed recorded in the emitted artifact is the
-// seed the numbers were actually measured on.
+// benchmark func, so the seed recorded in viatorbench's JSON is the seed
+// the numbers were actually measured on.
 
 // controlPlaneGraph builds the S1-sized control-plane benchmark topology:
 // 1000 nodes on a 1000×1000 arena with radio range 75 — the same radio-
@@ -94,10 +163,10 @@ func controlPlaneRouter(g *topo.Graph) *routing.Adaptive {
 	return r
 }
 
-// AdaptivePulseSteady measures the gated no-op pulse: no routing input
+// adaptivePulseSteady measures the gated no-op pulse: no routing input
 // changed since the last invalidation, so a pulse is one version compare
 // plus a utilization-snapshot scan. 0 allocs/op.
-func AdaptivePulseSteady(seed uint64) func(b *testing.B) {
+func adaptivePulseSteady(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		g := controlPlaneGraph(seed)
@@ -114,12 +183,12 @@ func AdaptivePulseSteady(seed uint64) func(b *testing.B) {
 	}
 }
 
-// AdaptivePulseLazySparse measures the sparse-traffic adaptation cycle:
+// adaptivePulseLazySparse measures the sparse-traffic adaptation cycle:
 // fresh utilization on one link, an invalidating pulse, then routes from
 // 16 sources — the per-source lazy builds, not all-pairs. It reports
 // settles/op, the nodes those builds settle: each tree is settled only as
 // far as its destination, which is what end-to-end runs save.
-func AdaptivePulseLazySparse(seed uint64) func(b *testing.B) {
+func adaptivePulseLazySparse(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		g := controlPlaneGraph(seed)
@@ -142,11 +211,11 @@ func AdaptivePulseLazySparse(seed uint64) func(b *testing.B) {
 	}
 }
 
-// AdaptivePulseRebuild measures the full eager adaptation at S1 scale:
+// adaptivePulseRebuild measures the full eager adaptation at S1 scale:
 // fresh utilization, an invalidating pulse, then Rebuild fans the
 // all-pairs recomputation of every overlay over the worker pool — the
 // direct successor of the old clone-per-overlay Pulse.
-func AdaptivePulseRebuild(seed uint64) func(b *testing.B) {
+func adaptivePulseRebuild(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		g := controlPlaneGraph(seed)
@@ -164,7 +233,7 @@ func AdaptivePulseRebuild(seed uint64) func(b *testing.B) {
 	}
 }
 
-// --- physical-layer benchmarks (BENCH_mobility.json) ---
+// --- physical-layer benchmarks (suite "mobility") ---
 
 // physicalModel builds the S1-scale mobility workload: 1000 random-
 // waypoint ships on a 1000×1000 arena — the metropolis fleet whose
@@ -192,11 +261,11 @@ func physicalFrames(seed uint64) [][]topo.Point {
 	return frames
 }
 
-// ConnectivityGrid measures the spatial-hash refresh with the brute-force
+// connectivityGrid measures the spatial-hash refresh with the brute-force
 // mobility.Connectivity's flap semantics: candidates from the grid
 // neighborhood (O(n·k)) instead of all pairs, every link still cycled
 // down/up.
-func ConnectivityGrid(seed uint64) func(b *testing.B) {
+func connectivityGrid(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		frames := physicalFrames(seed)
@@ -211,12 +280,12 @@ func ConnectivityGrid(seed uint64) func(b *testing.B) {
 	}
 }
 
-// ConnectivityIncremental measures the production refresh: spatial-hash
+// connectivityIncremental measures the production refresh: spatial-hash
 // candidates diffed against the previous neighbor sets, so only links
 // whose endpoints crossed radio range are toggled. One full warm cycle
 // creates every link the frame cycle will ever need, so the measured
 // loop is the true steady state: 0 allocs/op.
-func ConnectivityIncremental(seed uint64) func(b *testing.B) {
+func connectivityIncremental(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		frames := physicalFrames(seed)
@@ -233,9 +302,9 @@ func ConnectivityIncremental(seed uint64) func(b *testing.B) {
 	}
 }
 
-// MobilityStep measures pure position advancement into a caller-owned
+// mobilityStep measures pure position advancement into a caller-owned
 // buffer for the 1000-ship fleet. 0 allocs/op once the buffer has grown.
-func MobilityStep(seed uint64) func(b *testing.B) {
+func mobilityStep(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		m := physicalModel(seed)
@@ -248,13 +317,13 @@ func MobilityStep(seed uint64) func(b *testing.B) {
 	}
 }
 
-// --- telemetry benchmarks (BENCH_telemetry.json) ---
+// --- telemetry benchmarks (suite "telemetry") ---
 
-// HistObserve measures the streaming histogram's per-observation cost:
+// histObserve measures the streaming histogram's per-observation cost:
 // a float-bit bucket index plus a handful of increments. 0 allocs/op —
 // the property that lets it replace the retained-sample Summary as the
 // delivery-latency sink on stress scenarios.
-func HistObserve(b *testing.B) {
+func histObserve(b *testing.B) {
 	b.ReportAllocs()
 	h := telemetry.NewHist()
 	rng := sim.NewRNG(1)
@@ -264,9 +333,9 @@ func HistObserve(b *testing.B) {
 	}
 }
 
-// HistQuantile measures a quantile query against a well-filled histogram:
+// histQuantile measures a quantile query against a well-filled histogram:
 // one cumulative walk over the fixed bucket array per order statistic.
-func HistQuantile(b *testing.B) {
+func histQuantile(b *testing.B) {
 	b.ReportAllocs()
 	h := telemetry.NewHist()
 	rng := sim.NewRNG(1)
@@ -279,9 +348,9 @@ func HistQuantile(b *testing.B) {
 	}
 }
 
-// HistMerge measures folding one full histogram into another — the
+// histMerge measures folding one full histogram into another — the
 // per-replicate pooling cost of the telemetry export pipeline.
-func HistMerge(b *testing.B) {
+func histMerge(b *testing.B) {
 	b.ReportAllocs()
 	src, dst := telemetry.NewHist(), telemetry.NewHist()
 	rng := sim.NewRNG(1)
@@ -294,12 +363,12 @@ func HistMerge(b *testing.B) {
 	}
 }
 
-// RecorderTick measures one flight-recorder tick over a telemetry stack
+// recorderTick measures one flight-recorder tick over a telemetry stack
 // the size the stress scenarios run (the scenario counters, a role
 // census prep pass stand-in, and per-role gauges — 12 series): closure
 // samples into preallocated columnar rings, windowed rollups included.
 // 0 allocs/op steady-state.
-func RecorderTick(b *testing.B) {
+func recorderTick(b *testing.B) {
 	b.ReportAllocs()
 	r := telemetry.NewRecorder(256, 4)
 	var census [5]float64
@@ -330,9 +399,9 @@ func RecorderTick(b *testing.B) {
 	}
 }
 
-// ScorecardDelivered measures the per-delivery QoS scorecard cost: two
+// scorecardDelivered measures the per-delivery QoS scorecard cost: two
 // slice increments plus one histogram observe. 0 allocs/op.
-func ScorecardDelivered(b *testing.B) {
+func scorecardDelivered(b *testing.B) {
 	b.ReportAllocs()
 	s := telemetry.NewScoreSet()
 	f := s.Flow("data", telemetry.SLO{Quantile: 0.95, MaxLatency: 0.05, MinDeliveryRatio: 0.5})
@@ -344,9 +413,9 @@ func ScorecardDelivered(b *testing.B) {
 	}
 }
 
-// AdaptiveNextHop measures the forwarding-path lookup on warm tables —
+// adaptiveNextHop measures the forwarding-path lookup on warm tables —
 // the per-hop per-packet cost. O(1) array reads, 0 allocs/op.
-func AdaptiveNextHop(seed uint64) func(b *testing.B) {
+func adaptiveNextHop(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		g := controlPlaneGraph(seed)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"viator"
 	"viator/internal/cluster"
 	"viator/internal/feedback"
 	"viator/internal/kq"
@@ -13,9 +14,10 @@ import (
 	"viator/internal/roles"
 	"viator/internal/ship"
 	"viator/internal/sim"
+	"viator/internal/topo"
 )
 
-// --- principle-engine benchmarks (BENCH_principles.json) ---
+// --- principle-engine benchmarks (suite "principles") ---
 //
 // Each engine's scratch-backed steady-state path. The pre-refactor
 // comparison bodies are retired; their measured speedups are recorded in
@@ -40,10 +42,10 @@ func principlesCommunity(seed uint64) *cluster.Community {
 	return c
 }
 
-// GossipRound measures the community verification round on the indexed
+// gossipRound measures the community verification round on the indexed
 // fast path: per probe, one RNG draw and one role-kind compare.
 // 0 allocs/op steady state.
-func GossipRound(seed uint64) func(b *testing.B) {
+func gossipRound(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		c := principlesCommunity(seed)
@@ -55,10 +57,10 @@ func GossipRound(seed uint64) func(b *testing.B) {
 	}
 }
 
-// FormClustersSteady measures re-clustering an unchanged fleet: the
+// formClustersSteady measures re-clustering an unchanged fleet: the
 // fingerprint gate absorbs the pass in one hash over the active view.
 // 0 allocs/op.
-func FormClustersSteady(seed uint64) func(b *testing.B) {
+func formClustersSteady(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		c := principlesCommunity(seed)
@@ -70,10 +72,10 @@ func FormClustersSteady(seed uint64) func(b *testing.B) {
 	}
 }
 
-// FormClustersRebuild measures the full greedy congruence pass — the
+// formClustersRebuild measures the full greedy congruence pass — the
 // work every pre-refactor FormClusters call did regardless of change —
 // by touching one ship's shape before each call to defeat the gate.
-func FormClustersRebuild(seed uint64) func(b *testing.B) {
+func formClustersRebuild(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		c := principlesCommunity(seed)
@@ -107,10 +109,10 @@ func principlesSnapshots(seed uint64) [][]kq.FactID {
 	return snaps
 }
 
-// ObserveFacts measures the interned co-occurrence fold: per snapshot,
+// observeFacts measures the interned co-occurrence fold: per snapshot,
 // slice-indexed fact counts and one uint64-keyed map increment per pair.
 // 0 allocs/op steady state.
-func ObserveFacts(seed uint64) func(b *testing.B) {
+func observeFacts(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		e := resonance.New(resonance.DefaultConfig())
@@ -125,10 +127,10 @@ func ObserveFacts(seed uint64) func(b *testing.B) {
 	}
 }
 
-// EmergeFrontier measures the steady-state emergence scan: every
+// emergeFrontier measures the steady-state emergence scan: every
 // resonant pair already emerged, the frontier holds only the sub-bar
 // candidates, and no names are rebuilt.
-func EmergeFrontier(seed uint64) func(b *testing.B) {
+func emergeFrontier(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		e := resonance.New(resonance.DefaultConfig())
@@ -161,9 +163,9 @@ func principlesBus(sink *float64) (*feedback.Bus, feedback.Key) {
 	return b, b.Key(feedback.PerNode, "node-7")
 }
 
-// FeedbackPublishKey measures the pre-resolved routing handle path: one
+// feedbackPublishKey measures the pre-resolved routing handle path: one
 // route-slice walk per signal. 0 allocs/op.
-func FeedbackPublishKey(b *testing.B) {
+func feedbackPublishKey(b *testing.B) {
 	b.ReportAllocs()
 	var sink float64
 	bus, k := principlesBus(&sink)
@@ -174,10 +176,10 @@ func FeedbackPublishKey(b *testing.B) {
 	}
 }
 
-// MetamorphPulse measures one quiescent horizontal pulse plus the CSR
+// metamorphPulse measures one quiescent horizontal pulse plus the CSR
 // census and entropy reads over the S2 fleet — the per-epoch principle
 // overhead when no demand shift warrants movement. 0 allocs/op.
-func MetamorphPulse(seed uint64) func(b *testing.B) {
+func metamorphPulse(seed uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		ships := make([]*ship.Ship, principlesFleet)
@@ -197,5 +199,18 @@ func MetamorphPulse(seed uint64) func(b *testing.B) {
 			e.OutstandingInto(&o)
 			e.RoleEntropy()
 		}
+	}
+}
+
+// jetEpidemic measures a boosting jet spreading through a 16-ship grid
+// network for 10 sim seconds, one fresh network per op.
+func jetEpidemic(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := viator.DefaultConfig(16, uint64(i))
+		cfg.Graph = topo.Grid(4, 4)
+		n := viator.NewNetwork(cfg)
+		n.InjectJet(0, roles.Boosting, 3)
+		n.Run(10)
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"io"
 	"testing"
 
+	"viator/internal/serve"
 	"viator/internal/sim"
 	"viator/internal/telemetry"
 )
 
-// --- live-service benchmarks (BENCH_serve.json) ---
+// --- live-service benchmarks (suite "serve") ---
 
 // serveDump builds a telemetry dump the size a resident stress run
 // publishes: a filled recorder (12 series with windowed rollups), two
@@ -57,11 +58,11 @@ func serveDump() *telemetry.Dump {
 	}
 }
 
-// MetricsRender measures one run's share of a /metrics scrape at the
+// metricsRender measures one run's share of a /metrics scrape at the
 // published-snapshot seam: rendering the dump into Prometheus family
 // chunks (what the driver pays per barrier) plus stitching and writing
 // them (what the handler pays per scrape).
-func MetricsRender(b *testing.B) {
+func metricsRender(b *testing.B) {
 	b.ReportAllocs()
 	d := serveDump()
 	b.ResetTimer()
@@ -73,13 +74,17 @@ func MetricsRender(b *testing.B) {
 	}
 }
 
-// ServeSnapshot measures one injected snapshot-publication closure per
-// op. The closure is built by serve.SnapshotBench (benchprobe cannot
-// import the viator root package — the root's own bench_test.go would
-// then form an import cycle), so the serve package and viatorbench both
-// time the identical driver-side publication path.
-func ServeSnapshot(b *testing.B, publish func()) {
+// serveSnapshotPublish measures the driver's per-barrier publication
+// on a resident run (serve.SnapshotBench): read run state, render status
+// + Prometheus families + stream lines, store the snapshot, broadcast.
+// This is the entire observability cost a resident run pays per
+// telemetry tick; the sim hot path between barriers carries none of it.
+func serveSnapshotPublish(b *testing.B) {
 	b.ReportAllocs()
+	publish, err := serve.SnapshotBench()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		publish()

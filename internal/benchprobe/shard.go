@@ -3,29 +3,28 @@ package benchprobe
 import (
 	"testing"
 
+	"viator"
 	"viator/internal/sim"
 )
 
-// --- sharded-kernel benchmarks (BENCH_shard.json) ---
+// --- sharded-kernel benchmarks (suite "shard") ---
 //
-// Two layers: ShardGroupWindowed measures the executor substrate on a
-// synthetic event workload at several kernel counts, and ShardEndToEnd
-// wraps a caller-injected scenario run (the root package sweeps the S3
-// smoke continent across -shards settings; benchprobe cannot import
-// viator without a cycle through its tests).
+// Two layers: shardGroupWindowed measures the executor substrate on a
+// synthetic event workload at several kernel counts, and s3Smoke runs
+// the S3 smoke continent end to end at the same kernel counts.
 
-// shardBenchHorizon is the virtual time one ShardGroupWindowed op
+// shardBenchHorizon is the virtual time one shardGroupWindowed op
 // advances the group by. With lookahead 0.01 that is ~100 windows/op.
 const shardBenchHorizon = 1.0
 
-// ShardGroupWindowed measures the conservative windowed executor: k
+// shardGroupWindowed measures the conservative windowed executor: k
 // kernels, nPer self-rescheduling entities per kernel, every fourth
 // firing posting minimum-latency mail to the next kernel. One op runs
 // the group one horizon forward — window scan, barrier, mailbox
 // exchange, heap commit included. Steady state is 0 allocs/op: entities
 // and mail payloads are preallocated, and the group's outboxes, inbox
 // heaps and worker pool all reuse their arenas.
-func ShardGroupWindowed(k, nPer int) func(b *testing.B) {
+func shardGroupWindowed(k, nPer int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		const la = 0.01
@@ -76,10 +75,10 @@ func ShardGroupWindowed(k, nPer int) func(b *testing.B) {
 	}
 }
 
-// ShardMailbox measures the raw cross-kernel mail cycle: one Post, one
+// shardMailbox measures the raw cross-kernel mail cycle: one Post, one
 // exchange (outbox drain + inbox heap push + commit scheduling), one
 // StepNext that pops and delivers the entry. 0 allocs/op.
-func ShardMailbox(b *testing.B) {
+func shardMailbox(b *testing.B) {
 	b.ReportAllocs()
 	g := sim.NewShardGroup(2, 1, 0)
 	g.SetWorkers(1)
@@ -99,13 +98,20 @@ func ShardMailbox(b *testing.B) {
 	}
 }
 
-// ShardEndToEnd measures one full sharded scenario run per op. The run
-// closure is injected by the caller, which is also responsible for
-// setting the shard override the sweep point measures.
-func ShardEndToEnd(b *testing.B, run func() error) {
-	for i := 0; i < b.N; i++ {
-		if err := run(); err != nil {
-			b.Fatal(err)
+// s3Smoke measures one full run of the S3 smoke continent (10,000 ships
+// in 8 districts) on k shard kernels per op. The model workload is the
+// same at every k, so the k=1 → k=8 ns/op ratio is a parallel-speedup
+// measurement bounded by the core count. The previous shard override is
+// restored afterwards.
+func s3Smoke(k int, seed uint64) func(b *testing.B) {
+	return func(b *testing.B) {
+		prev := viator.ShardOverride()
+		viator.SetShardOverride(k)
+		defer viator.SetShardOverride(prev)
+		for i := 0; i < b.N; i++ {
+			if res := viator.ScenarioS3Smoke().Run(seed); !res.Pass() {
+				b.Fatalf("S3S assertions failed at K=%d", k)
+			}
 		}
 	}
 }

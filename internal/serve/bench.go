@@ -32,8 +32,9 @@ const benchSpec = `{
 // SnapshotBench prepares a resident run advanced to mid-horizon and
 // returns the closure a driver executes at every barrier: build the
 // immutable snapshot, store it, render and broadcast the stream batch.
-// Shared between this package's bench_test.go and `viatorbench -bench
-// serve` (via benchprobe.ServeSnapshot) so both time the same path.
+// It backs the serve.snapshot_publish row of internal/benchprobe's
+// benchmark table and lives here because it needs the driver's
+// unexported state.
 func SnapshotBench() (func(), error) {
 	sc, err := viator.ParseScenario([]byte(benchSpec))
 	if err != nil {

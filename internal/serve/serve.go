@@ -38,6 +38,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -201,9 +202,18 @@ type startRequest struct {
 	Spec     json.RawMessage `json:"spec"`
 }
 
+// maxStartBody caps a POST /api/v1/runs body. Scenario specs are a few
+// KiB; anything past the cap is refused with 413 before it is buffered.
+const maxStartBody = 1 << 20
+
 func (s *Server) handleStartRun(w http.ResponseWriter, req *http.Request) {
 	var body startRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxStartBody)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxStartBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}

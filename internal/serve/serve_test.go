@@ -156,6 +156,36 @@ func TestStartRunErrors(t *testing.T) {
 	}
 }
 
+// TestStartRunBodyCap refuses a start body over maxStartBody with 413
+// and still accepts an ordinary one.
+func TestStartRunBodyCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	big := `{"scenario": "s1", "spec": "` + strings.Repeat("x", maxStartBody) + `"}`
+	resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	var list struct {
+		Runs []RunStatus `json:"runs"`
+	}
+	if getJSON(t, ts.URL+"/api/v1/runs", &list); len(list.Runs) != 0 {
+		t.Fatalf("oversized body started %d runs", len(list.Runs))
+	}
+
+	st := postRun(t, ts.URL, `{"scenario":"s1"}`) // asserts 201
+	resp, err = http.Post(ts.URL+"/api/v1/runs/"+st.ID+"/stop", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	r, _ := s.Get(st.ID)
+	r.Wait()
+}
+
 // waitState polls a run's published state until it matches or times out.
 func waitState(t *testing.T, ts *httptest.Server, id, want string) RunStatus {
 	t.Helper()
