@@ -12,10 +12,15 @@ import (
 // -bench=Experiment` regenerates every table and figure. The per-op cost
 // is the cost of reproducing that artifact end to end.
 
+// S2 and S3S are skipped: the table rows s2.megalopolis_run and
+// shard.s3_smoke_k8 run the same work at the same seed.
 func BenchmarkExperiment(b *testing.B) {
 	for _, e := range viator.DefaultRegistry().Experiments() {
 		if e.Heavy {
 			continue // continent-scale; benchmarked via the shard suite instead
+		}
+		if e.ID == "S2" || e.ID == "S3S" {
+			continue
 		}
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -36,6 +36,12 @@
 //     so nodes settle in exactly the order of a full run, and a settled
 //     node's distance, predecessor and first hop — tie-breaks included —
 //     are the full tree's. A destination's path settles before it does.
+//   - Trees are sparse until they grow: a begun tree stores per-node
+//     state only for the nodes its run has touched, from 28 B each, and
+//     moves to dense per-node arrays (16 B for every node of the graph)
+//     before it would need entries for more than a sixteenth of them
+//     (topo.SPT). A district-traffic tree that reaches a few hundred of
+//     10,000 nodes holds kilobytes, not the 160 KB of a dense one.
 //   - Rebuild forces the all-pairs computation eagerly, fanning sources
 //     over a worker pool: it begins stale trees and finishes partially
 //     settled ones. Sources are independent, every worker owns a
@@ -102,7 +108,7 @@ func (s *Static) Path(src, dst topo.NodeID) []topo.NodeID {
 
 // Cost returns the path cost src→dst (+Inf when unreachable).
 func (s *Static) Cost(src, dst topo.NodeID) float64 {
-	return s.tables[src].Dist[dst]
+	return s.tables[src].Dist(dst)
 }
 
 // DistanceVector is a Bellman-Ford routing protocol run to convergence in
@@ -318,12 +324,17 @@ type Adaptive struct {
 	// Pulses counts Pulse calls; Recomputes counts pulses that found
 	// changed inputs and invalidated the tables; SkippedPulses counts
 	// gated no-ops; LazyBuilds counts single-source tables begun on demand
-	// by NextHop/Path, and Settles the nodes those calls settled in them.
+	// by NextHop/Path, Settles the nodes those calls settled in them,
+	// Touched the nodes they reached (gave a finite distance, the sources
+	// included) and Promotions the tables they moved from sparse to dense
+	// storage (see topo.SPT).
 	Pulses        int
 	Recomputes    int
 	SkippedPulses int
 	LazyBuilds    uint64
 	Settles       uint64
+	Touched       uint64
+	Promotions    uint64
 }
 
 // NewAdaptive creates the adaptive router with a default overlay "" of
@@ -423,6 +434,7 @@ func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
 		return nil // node added after the snapshot; no route yet
 	}
 	t := o.tables[src]
+	var touched int
 	if o.stamp[src] != o.gen {
 		if t == nil {
 			t = &topo.SPT{} //viator:alloc-ok one table per source for the router's life; later builds reuse it
@@ -431,8 +443,15 @@ func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
 		o.ov.BeginInto(t, src)
 		o.stamp[src] = o.gen
 		a.LazyBuilds++
+	} else {
+		touched = t.Touched()
 	}
+	sparse := t.Sparse()
 	a.Settles += uint64(t.SettleTo(dst))
+	a.Touched += uint64(t.Touched() - touched)
+	if sparse && !t.Sparse() {
+		a.Promotions++
+	}
 	return t
 }
 

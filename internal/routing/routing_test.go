@@ -14,7 +14,7 @@ func TestStaticAgreesWithDijkstra(t *testing.T) {
 	for src := 0; src < g.N(); src++ {
 		spt := g.Dijkstra(topo.NodeID(src))
 		for dst := 0; dst < g.N(); dst++ {
-			if r.Cost(topo.NodeID(src), topo.NodeID(dst)) != spt.Dist[dst] {
+			if r.Cost(topo.NodeID(src), topo.NodeID(dst)) != spt.Dist(topo.NodeID(dst)) {
 				t.Fatalf("cost mismatch %d->%d", src, dst)
 			}
 		}
@@ -56,7 +56,7 @@ func TestDistanceVectorConverges(t *testing.T) {
 	for src := 0; src < g.N(); src++ {
 		spt := g.Dijkstra(topo.NodeID(src))
 		for dst := 0; dst < g.N(); dst++ {
-			if math.Abs(dv.Cost(topo.NodeID(src), topo.NodeID(dst))-spt.Dist[dst]) > 1e-9 {
+			if math.Abs(dv.Cost(topo.NodeID(src), topo.NodeID(dst))-spt.Dist(topo.NodeID(dst))) > 1e-9 {
 				t.Fatalf("dv cost mismatch %d->%d", src, dst)
 			}
 		}

@@ -4,8 +4,8 @@ import (
 	"container/heap"
 	"math"
 	"testing"
-	"viator/internal/allocpin"
 
+	"viator/internal/allocpin"
 	"viator/internal/sim"
 )
 
@@ -35,15 +35,36 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
+// refTree is the oracle's shortest-path tree: plain per-node slices.
+type refTree struct {
+	src   NodeID
+	dist  []float64 // +Inf when unreachable
+	prev  []NodeID  // -1 at the source / unreachable
+	order []NodeID  // reachable nodes in settle order
+}
+
+// nextHop walks the predecessor chain back to the source: the first hop
+// toward dst, or -1 at the source and at unreachable nodes.
+func (r *refTree) nextHop(dst NodeID) NodeID {
+	if math.IsInf(r.dist[dst], 1) || dst == r.src {
+		return -1
+	}
+	hop := dst
+	for r.prev[hop] != r.src {
+		hop = r.prev[hop]
+	}
+	return hop
+}
+
 // referenceDijkstra is the original implementation: boxed heap, lazy
 // deletion, relaxation in adjacency order over up links.
-func referenceDijkstra(g *Graph, src NodeID) *SPT {
-	t := &SPT{Source: src, Dist: make([]float64, g.N()), Prev: make([]NodeID, g.N())}
-	for i := range t.Dist {
-		t.Dist[i] = math.Inf(1)
-		t.Prev[i] = -1
+func referenceDijkstra(g *Graph, src NodeID) *refTree {
+	t := &refTree{src: src, dist: make([]float64, g.N()), prev: make([]NodeID, g.N())}
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+		t.prev[i] = -1
 	}
-	t.Dist[src] = 0
+	t.dist[src] = 0
 	h := &refHeap{{src, 0}}
 	done := make([]bool, g.N())
 	for h.Len() > 0 {
@@ -53,6 +74,7 @@ func referenceDijkstra(g *Graph, src NodeID) *SPT {
 			continue
 		}
 		done[u] = true
+		t.order = append(t.order, u)
 		for _, li := range g.adj[u] {
 			l := g.link[li]
 			if !l.Up {
@@ -61,10 +83,10 @@ func referenceDijkstra(g *Graph, src NodeID) *SPT {
 			if l.Cost < 0 {
 				panic("topo: negative link cost")
 			}
-			nd := t.Dist[u] + l.Cost
-			if nd < t.Dist[l.To] {
-				t.Dist[l.To] = nd
-				t.Prev[l.To] = u
+			nd := t.dist[u] + l.Cost
+			if nd < t.dist[l.To] {
+				t.dist[l.To] = nd
+				t.prev[l.To] = u
 				heap.Push(h, refItem{l.To, nd})
 			}
 		}
@@ -73,27 +95,20 @@ func referenceDijkstra(g *Graph, src NodeID) *SPT {
 }
 
 // expectEqualSPT requires exact equality — including tie-breaks — between
-// a computed tree and the reference, and that the precomputed next-hop
-// table agrees with path reconstruction on the reference tree.
-func expectEqualSPT(t *testing.T, got, ref *SPT) {
+// a computed tree and the reference: distances, predecessors, and first
+// hops against the reference's predecessor chains.
+func expectEqualSPT(t *testing.T, got *SPT, ref *refTree) {
 	t.Helper()
-	n := len(ref.Dist)
-	if len(got.Dist) != n || len(got.Prev) != n {
-		t.Fatalf("size mismatch: got %d/%d want %d", len(got.Dist), len(got.Prev), n)
-	}
-	for i := 0; i < n; i++ {
-		if got.Dist[i] != ref.Dist[i] && !(math.IsInf(got.Dist[i], 1) && math.IsInf(ref.Dist[i], 1)) {
-			t.Fatalf("dist[%d] = %v, reference %v", i, got.Dist[i], ref.Dist[i])
+	for i := range ref.dist {
+		v := NodeID(i)
+		if d := got.Dist(v); d != ref.dist[i] && !(math.IsInf(d, 1) && math.IsInf(ref.dist[i], 1)) {
+			t.Fatalf("dist[%d] = %v, reference %v", i, d, ref.dist[i])
 		}
-		if got.Prev[i] != ref.Prev[i] {
-			t.Fatalf("prev[%d] = %d, reference %d", i, got.Prev[i], ref.Prev[i])
+		if p := got.Prev(v); p != ref.prev[i] {
+			t.Fatalf("prev[%d] = %d, reference %d", i, p, ref.prev[i])
 		}
-		wantHop := NodeID(-1)
-		if p := ref.PathTo(NodeID(i)); len(p) >= 2 {
-			wantHop = p[1]
-		}
-		if hop := got.NextHop(NodeID(i)); hop != wantHop {
-			t.Fatalf("next hop to %d = %d, reference %d", i, hop, wantHop)
+		if hop, want := got.NextHop(v), ref.nextHop(v); hop != want {
+			t.Fatalf("next hop to %d = %d, reference %d", i, hop, want)
 		}
 	}
 }
@@ -219,36 +234,31 @@ func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 // Complete the whole tree must equal the oracle exactly. One tree is
 // reused across sources and rounds, so stale trees — complete ones and
 // partial ones with a live frontier — are begun again over their own
-// retained heap.
+// retained heap. Odd trials use 40-node graphs, on which runs begin
+// dense; even ones use 320 nodes at the same mean degree, on which runs
+// begin sparse and promote a few settles in, so the checks straddle the
+// promotion.
 func TestResumableOverlayMatchesReferenceStepwise(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	spt := &SPT{}
 	var ov CostOverlay
+	var modes stepModes
 	for trial := 0; trial < 6; trial++ {
-		g := Waxman(40, 0.3, 0.3, rng)
+		n := 320 >> (3 * (trial % 2))
+		g := Waxman(n, 12/float64(n), 0.3, rng)
 		if g.Links() == 0 {
 			g.ConnectBoth(0, 1, 1)
 		}
 		for round := 0; round < 3; round++ {
 			churn(g, rng)
 			isolated := g.AddNode() // after churn, which may link any node
-			reweight := make([]float64, g.Links())
-			for li := range reweight {
-				reweight[li] = float64(rng.Intn(4)) // small integers force equal-cost ties
-			}
-			g.CaptureInto(&ov, func(li int) float64 { return reweight[li] })
-			oracle := g.Clone()
-			for li := 0; li < oracle.Links(); li++ {
-				oracle.SetCost(li, reweight[li])
-			}
+			oracle := captureTies(g, &ov, rng)
 			for s := 0; s < g.N(); s += 7 {
 				src := NodeID(s)
 				ref := referenceDijkstra(oracle, src)
-				if src != isolated && !math.IsInf(ref.Dist[isolated], 1) {
+				if src != isolated && !math.IsInf(ref.dist[isolated], 1) {
 					t.Fatal("isolated node is reachable")
 				}
-				ov.BeginInto(spt, src)
-				total := 0
 				queries := []NodeID{src}
 				for k := 0; k < 8; k++ {
 					queries = append(queries, NodeID(rng.Intn(g.N())))
@@ -261,43 +271,140 @@ func TestResumableOverlayMatchesReferenceStepwise(t *testing.T) {
 				if !partial {
 					queries = append(queries, isolated)
 				}
-				for _, dst := range queries {
-					total += spt.SettleTo(dst)
-					if again := spt.SettleTo(dst); again != 0 {
-						t.Fatalf("repeated SettleTo(%d) settled %d more nodes", dst, again)
-					}
-					expectSettledPrefix(t, spt, ref, total)
-					if !math.IsInf(ref.Dist[dst], 1) && !spt.isSettled(dst) {
-						t.Fatalf("src %d: reachable dst %d not settled by SettleTo", src, dst)
-					}
-				}
-				if partial {
-					continue
-				}
-				total += spt.Complete()
-				expectEqualSPT(t, spt, ref)
-				reach := 0
-				for _, d := range ref.Dist {
-					if !math.IsInf(d, 1) {
-						reach++
-					}
-				}
-				if total != reach || spt.Complete() != 0 {
-					t.Fatalf("src %d: settled %d nodes in all, %d reachable", src, total, reach)
-				}
+				checkStepwise(t, &ov, spt, ref, queries, !partial, &modes)
 			}
 		}
+	}
+	if modes.beganDense == 0 || modes.promotedMidRun == 0 {
+		t.Fatalf("regimes not both exercised: %d runs began dense, %d promoted mid-run",
+			modes.beganDense, modes.promotedMidRun)
+	}
+}
+
+// TestSparseTreeMatchesReferenceOnLargeGraphs runs the stepwise check on
+// random geometric graphs of 3,000 nodes, querying only destinations
+// among the first 30 the source's run settles: those runs touch far
+// fewer than n/16 nodes and must stay sparse to the end. Every other
+// source then asks for the last node its run settles, which promotes the
+// run in the middle, and completes; the next source begins sparse again
+// over a tree that already owns dense arrays, so one reused tree crosses
+// promotion repeatedly.
+func TestSparseTreeMatchesReferenceOnLargeGraphs(t *testing.T) {
+	rng := sim.NewRNG(77)
+	spt := &SPT{}
+	var ov CostOverlay
+	var modes stepModes
+	for trial := 0; trial < 2; trial++ {
+		g := RandomGeometric(3000, 100, 3, rng)
+		oracle := captureTies(g, &ov, rng)
+		for s := trial; s < g.N(); s += 250 {
+			src := NodeID(s)
+			ref := referenceDijkstra(oracle, src)
+			order := ref.order
+			near := order[:min(30, len(order))]
+			var queries []NodeID
+			for k := 0; k < 6; k++ {
+				queries = append(queries, near[rng.Intn(len(near))])
+			}
+			far := s%500 == trial
+			if far {
+				queries = append(queries, order[len(order)-1])
+			}
+			checkStepwise(t, &ov, spt, ref, queries, far, &modes)
+			if !far && !spt.Sparse() {
+				t.Fatalf("src %d: a run that touched %d of %d nodes promoted", src, spt.Touched(), g.N())
+			}
+		}
+	}
+	if modes.endedSparse == 0 || modes.promotedMidRun == 0 {
+		t.Fatalf("regimes not both exercised: %d runs ended sparse, %d promoted mid-run",
+			modes.endedSparse, modes.promotedMidRun)
+	}
+}
+
+// stepModes counts the storage regimes checkStepwise ran through: runs
+// begun dense, query sequences that ended with the tree still sparse,
+// and SettleTo calls that promoted it.
+type stepModes struct {
+	beganDense, endedSparse, promotedMidRun int
+}
+
+// captureTies captures g into ov with every up link repriced at a small
+// integer, which forces equal-cost ties, and returns a clone of g holding
+// the same prices for the oracle.
+func captureTies(g *Graph, ov *CostOverlay, rng *sim.RNG) *Graph {
+	reweight := make([]float64, g.Links())
+	for li := range reweight {
+		reweight[li] = float64(rng.Intn(4))
+	}
+	g.CaptureInto(ov, func(li int) float64 { return reweight[li] })
+	oracle := g.Clone()
+	for li := 0; li < oracle.Links(); li++ {
+		oracle.SetCost(li, reweight[li])
+	}
+	return oracle
+}
+
+// checkStepwise begins spt at ref's source over ov and settles the
+// queries one by one, checking the settled prefix against the oracle
+// after each; with complete it then finishes the run and requires the
+// whole tree to equal the oracle.
+func checkStepwise(t *testing.T, ov *CostOverlay, spt *SPT, ref *refTree, queries []NodeID, complete bool, modes *stepModes) {
+	t.Helper()
+	src := ref.src
+	ov.BeginInto(spt, src)
+	if wantSparse := ov.N()/sptSparseFraction >= sptMinSparse; spt.Sparse() != wantSparse {
+		t.Fatalf("src %d: BeginInto over %d nodes: sparse=%v, want %v", src, ov.N(), spt.Sparse(), wantSparse)
+	}
+	if !spt.Sparse() {
+		modes.beganDense++
+	}
+	total := 0
+	for _, dst := range queries {
+		wasSparse := spt.Sparse()
+		total += spt.SettleTo(dst)
+		if wasSparse && !spt.Sparse() {
+			modes.promotedMidRun++
+		}
+		if again := spt.SettleTo(dst); again != 0 {
+			t.Fatalf("repeated SettleTo(%d) settled %d more nodes", dst, again)
+		}
+		expectSettledPrefix(t, spt, ref, total)
+		if !math.IsInf(ref.dist[dst], 1) && !spt.isSettled(dst) {
+			t.Fatalf("src %d: reachable dst %d not settled by SettleTo", src, dst)
+		}
+	}
+	if spt.Sparse() && total > 1 {
+		modes.endedSparse++
+	}
+	if !complete {
+		return
+	}
+	total += spt.Complete()
+	expectEqualSPT(t, spt, ref)
+	reach := 0
+	for _, d := range ref.dist {
+		if !math.IsInf(d, 1) {
+			reach++
+		}
+	}
+	if total != reach || spt.Touched() != reach || spt.Complete() != 0 {
+		t.Fatalf("src %d: settled %d and touched %d nodes in all, %d reachable", src, total, spt.Touched(), reach)
 	}
 }
 
 // expectSettledPrefix checks a partial tree against the oracle: settled
-// nodes match it exactly, the others have no hop yet, and the settled
-// count equals what the SettleTo calls reported.
-func expectSettledPrefix(t *testing.T, got, ref *SPT, total int) {
+// nodes match it exactly, the others have no hop yet, the settled count
+// equals what the SettleTo calls reported, and Touched counts exactly the
+// nodes with a finite distance.
+func expectSettledPrefix(t *testing.T, got *SPT, ref *refTree, total int) {
 	t.Helper()
-	settled := 0
-	for i := range ref.Dist {
+	settled, touched := 0, 0
+	for i := range ref.dist {
 		v := NodeID(i)
+		if !math.IsInf(got.Dist(v), 1) {
+			touched++
+		}
 		if !got.isSettled(v) {
 			if hop := got.NextHop(v); hop != -1 {
 				t.Fatalf("unsettled node %d reports hop %d", v, hop)
@@ -305,17 +412,17 @@ func expectSettledPrefix(t *testing.T, got, ref *SPT, total int) {
 			continue
 		}
 		settled++
-		wantHop := NodeID(-1)
-		if p := ref.PathTo(v); len(p) >= 2 {
-			wantHop = p[1]
-		}
-		if got.Dist[v] != ref.Dist[v] || got.Prev[v] != ref.Prev[v] || got.NextHop(v) != wantHop {
+		wantHop := ref.nextHop(v)
+		if got.Dist(v) != ref.dist[v] || got.Prev(v) != ref.prev[v] || got.NextHop(v) != wantHop {
 			t.Fatalf("settled node %d: dist/prev/hop %v/%d/%d, reference %v/%d/%d",
-				v, got.Dist[v], got.Prev[v], got.NextHop(v), ref.Dist[v], ref.Prev[v], wantHop)
+				v, got.Dist(v), got.Prev(v), got.NextHop(v), ref.dist[v], ref.prev[v], wantHop)
 		}
 	}
 	if settled != total {
 		t.Fatalf("%d nodes settled, SettleTo reported %d", settled, total)
+	}
+	if touched != got.Touched() {
+		t.Fatalf("%d nodes have a finite distance, Touched reports %d", touched, got.Touched())
 	}
 }
 
@@ -336,6 +443,38 @@ func TestComputeIntoAllocationFree(t *testing.T) {
 		spt.SettleTo(NodeID(g.N() - 1))
 	}, "(*CostOverlay).BeginInto", "(*SPT).SettleTo")
 	allocpin.Zero(t, 50, func() { g.CaptureInto(&ov, func(li int) float64 { return 1 }) }, "(*Graph).CaptureInto")
+}
+
+// TestSparseTreeAllocationFree pins both storage regimes of a reused
+// tree on a 60×60 grid (promotion past 225 entries): a run to a
+// destination three hops out stays sparse, and a run to the far corner
+// crosses promotion again on every repetition, reusing the dense arrays
+// its first promotion made. Neither allocates once the tree has grown.
+func TestSparseTreeAllocationFree(t *testing.T) {
+	g := Grid(60, 60)
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	spt := &SPT{}
+	src, near, far := NodeID(30*60+30), NodeID(31*60+32), NodeID(g.N()-1)
+	run := func(dst NodeID) {
+		ov.BeginInto(spt, src)
+		spt.SettleTo(dst)
+	}
+	run(far)
+	if spt.Sparse() {
+		t.Fatal("a run to the far corner stayed sparse")
+	}
+	run(near)
+	if !spt.Sparse() || spt.Touched() > g.N()/sptSparseFraction {
+		t.Fatalf("a run three hops out touched %d nodes, sparse=%v", spt.Touched(), spt.Sparse())
+	}
+	allocpin.Zero(t, 50, func() { run(near) },
+		"(*CostOverlay).BeginInto", "(*SPT).SettleTo", "(*SPT).settle", "(*SPT).entries", "(*SPT).find")
+	allocpin.Zero(t, 50, func() { run(far) },
+		"(*CostOverlay).BeginInto", "(*SPT).SettleTo", "(*SPT).settle", "(*SPT).promote")
+	if spt.Sparse() || spt.NextHop(far) == -1 {
+		t.Fatal("the far run did not promote or did not settle its destination")
+	}
 }
 
 // TestNextHopAllocationFree pins the forwarding-path lookup at 0

@@ -7,6 +7,8 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -262,42 +264,288 @@ func spPop(h []spItem) ([]spItem, spItem) {
 // and NextHop of every settled node are final and equal to the full
 // run's; for nodes not yet settled Dist and Prev are tentative and
 // NextHop is -1.
+//
+// A tree's memory follows the nodes its run touches. A begun tree starts
+// sparse: each touched node's state (distance, predecessor, first hop)
+// is a 20 B entry appended in touch order and found through an
+// open-addressed index of 4 B slots keyed by node and kept at most half
+// full: from 28 B per touched node, and nothing for the rest. Before it
+// would need entries for more than 1/sptSparseFraction of the nodes, or
+// on Complete, the tree promotes itself to dense arrays indexed by node,
+// 16 B per node of the graph, reusing the dense arrays of an earlier run
+// when it has them. Trees over graphs of fewer than
+// sptSparseFraction·sptMinSparse nodes, and live-graph trees (Dijkstra,
+// ComputeInto), are dense from the start. Only where the state is stored changes with the mode;
+// the settle order and every comparison do not, so neither does the tree.
 type SPT struct {
 	Source NodeID
-	Dist   []float64 // +Inf when unreachable
-	Prev   []NodeID  // -1 at source / unreachable
-	// next is the first hop toward each settled node; -1 at the source
-	// and at nodes not (yet) settled, which makes it the settled set too.
-	// int32 halves the table; CaptureInto refuses graphs it cannot index.
-	next []int32
+
+	// Per-node state in the current mode, indexed by node when dense and
+	// by entry when sparse. dist is +Inf and prev -1 at unreached nodes
+	// (prev is -1 at the source too). next is the first hop toward each
+	// settled node; -1 at the source and at nodes not (yet) settled, which
+	// makes it the settled set too. Nodes and hops are int32: CaptureInto
+	// refuses graphs it cannot index.
+	dist       []float64
+	prev, next []int32
+	sparse     bool
+	// Sparse index: entry k belongs to node nodes[k] (the touched list).
+	// index is an open-addressed table with linear probing whose slots
+	// hold entry+1, 0 when empty; its power-of-two length is 32-shift
+	// bits wide, and a node's probe starts at its Fibonacci hash.
+	nodes []int32
+	index []int32
+	shift uint8
+	ents  []int32 // entries' result buffer
+	// The arrays of the mode not in use, kept so switching modes reuses
+	// them instead of allocating.
+	spareDist            []float64
+	sparePrev, spareNext []int32
 
 	// Frontier of a resumable run: the overlay it runs over, the
 	// lazy-deletion heap verbatim (its slice layout decides equal-distance
-	// pop order, so it is never rebuilt or compacted) and the number of
-	// nodes settled so far — nonzero exactly when the source is settled.
+	// pop order, so it is never rebuilt or compacted), the number of nodes
+	// settled so far — nonzero exactly when the source is settled — and
+	// the number touched (given a finite distance) so far.
 	ov      *CostOverlay
 	heap    []spItem
 	settled int
+	touched int
 }
 
-// reset sizes t for n nodes and clears it to the empty tree rooted at
-// src, reusing every backing array, the heap's included.
-//
-//viator:noalloc
-func (t *SPT) reset(n int, src NodeID) {
+// sptSparseFraction sets when a begun tree promotes to dense storage:
+// before it would hold entries for more than n/sptSparseFraction of the
+// overlay's n nodes, checked as each node's out-links are about to be
+// relaxed. A run that reaches that far tends to reach much further,
+// where array reads beat hash probes, and the memory sparse storage
+// still saves there is small. At an eighth, runs that go on to reach
+// much of the graph (S1's reach about half) spend measurably longer in
+// the sparse phase's probes.
+const sptSparseFraction = 16
+
+// sptMinSparse is the smallest entry limit, n/sptSparseFraction, at
+// which a begun tree starts sparse. Below it the run would promote within
+// a settle or two, so sparse storage would only add work, and the dense
+// arrays it would save are under 4 KB.
+const sptMinSparse = 16
+
+// sptMinIndex is the sparse index's length when a tree is first begun.
+const sptMinIndex = 16
+
+// restart clears the mode-independent state to a run from src.
+func (t *SPT) restart(src NodeID) {
 	t.Source = src
-	t.Dist = resize(t.Dist, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	t.Prev = resize(t.Prev, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	for i := 0; i < n; i++ {
-		t.Dist[i] = math.Inf(1)
-		t.Prev[i] = -1
-		t.next[i] = -1
-	}
+	t.touched = 0
 	t.ov = nil
 	t.heap = t.heap[:0]
 	t.settled = 0
 }
+
+// swapModes exchanges the state arrays with the spare ones and flips the
+// mode.
+func (t *SPT) swapModes() {
+	t.dist, t.spareDist = t.spareDist, t.dist
+	t.prev, t.sparePrev = t.sparePrev, t.prev
+	t.next, t.spareNext = t.spareNext, t.next
+	t.sparse = !t.sparse
+}
+
+// reset clears t to the empty dense tree over n nodes rooted at src,
+// reusing every backing array, the heap's included.
+//
+//viator:noalloc
+func (t *SPT) reset(n int, src NodeID) {
+	if t.sparse {
+		t.swapModes()
+	}
+	t.restart(src)
+	t.clearDense(n)
+}
+
+// clearDense sizes the dense arrays for n nodes, all unreached.
+//
+//viator:noalloc
+func (t *SPT) clearDense(n int) {
+	t.dist = resize(t.dist, n) //viator:alloc-ok amortized capacity growth: a tree's first dense run, or n grew; later runs reuse the arrays
+	t.prev = resize(t.prev, n) //viator:alloc-ok amortized capacity growth, as above
+	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth, as above
+	for i := 0; i < n; i++ {
+		t.dist[i] = math.Inf(1)
+		t.prev[i] = -1
+		t.next[i] = -1
+	}
+}
+
+// resetSparse clears t to the empty sparse tree rooted at src: no
+// entries, an empty index. Every backing array is reused.
+//
+//viator:noalloc
+func (t *SPT) resetSparse(src NodeID) {
+	if !t.sparse {
+		t.swapModes()
+	}
+	t.restart(src)
+	t.dist, t.prev, t.next, t.nodes = t.dist[:0], t.prev[:0], t.next[:0], t.nodes[:0]
+	if t.index == nil {
+		t.rehash(sptMinIndex)
+	} else {
+		clear(t.index)
+	}
+}
+
+// promote moves a sparse tree's entries into dense arrays indexed by
+// node, reusing the spare dense arrays when they are large enough.
+//
+//viator:noalloc
+func (t *SPT) promote() {
+	dist, prev, next := t.dist, t.prev, t.next
+	t.swapModes()
+	t.clearDense(t.ov.n)
+	for k, v := range t.nodes {
+		t.dist[v], t.prev[v], t.next[v] = dist[k], prev[k], next[k]
+	}
+}
+
+// sptHash is the Fibonacci hash of v: the top 32-shift bits of v times
+// 2^32 divided by the golden ratio.
+func sptHash(v int32, shift uint8) uint32 {
+	return uint32(v) * 0x9E3779B9 >> (shift & 31)
+}
+
+// find returns v's entry in a sparse tree, or -1 when v has none.
+//
+//viator:noalloc
+func (t *SPT) find(v NodeID) int32 {
+	mask := uint32(len(t.index) - 1)
+	for s := sptHash(int32(v), t.shift); ; s = (s + 1) & mask {
+		e := t.index[s]
+		if e == 0 || t.nodes[e-1] == int32(v) {
+			return e - 1
+		}
+	}
+}
+
+// entries returns the entry of each of vs in a sparse tree, appending an
+// unreached one (+Inf, no predecessor, no hop) for each node that has
+// none, in a buffer the next call reuses.
+//
+//viator:noalloc
+func (t *SPT) entries(vs []int32) []int32 {
+	t.reserve(len(vs))
+	if cap(t.ents) < len(vs) {
+		t.ents = make([]int32, len(vs)) //viator:alloc-ok grows to the largest out-degree once; a reused tree keeps its capacity
+	}
+	at := t.ents[:len(vs)]
+	// New entries are written in place past the current length, inside
+	// the capacity reserve made; the lengths move once, at the end.
+	k0 := len(t.nodes)
+	k, end := k0, k0+len(vs)
+	nodes, dist, prev, next := t.nodes[:end], t.dist[:end], t.prev[:end], t.next[:end]
+	index, shift := t.index, t.shift
+	mask := uint32(len(index) - 1)
+	for j, v := range vs {
+		for s := sptHash(v, shift); ; s = (s + 1) & mask {
+			e := index[s]
+			if e == 0 {
+				nodes[k], dist[k], prev[k], next[k] = v, math.Inf(1), -1, -1
+				index[s] = int32(k + 1)
+				at[j] = int32(k)
+				k++
+				break
+			}
+			if nodes[e-1] == v {
+				at[j] = e - 1
+				break
+			}
+		}
+	}
+	if k != k0 {
+		t.nodes, t.dist, t.prev, t.next = t.nodes[:k], t.dist[:k], t.prev[:k], t.next[:k]
+	}
+	return at
+}
+
+// reserve makes room for m more sparse entries: capacity in the four
+// entry arrays, and an index that stays at most half full with them.
+// The arrays grow by doubling but not past the entry limit the tree
+// promotes at, which they never need to exceed.
+//
+//viator:noalloc
+func (t *SPT) reserve(m int) {
+	k := len(t.nodes) + m
+	if k > cap(t.nodes) || k > cap(t.dist) || k > cap(t.prev) || k > cap(t.next) {
+		m = max(k, min(2*cap(t.nodes), t.ov.n/sptSparseFraction)) - len(t.nodes)
+		t.nodes = slices.Grow(t.nodes, m) //viator:alloc-ok amortized growth of the touched list; a reused tree keeps its capacity
+		t.dist = slices.Grow(t.dist, m)   //viator:alloc-ok amortized growth, as above
+		t.prev = slices.Grow(t.prev, m)   //viator:alloc-ok amortized growth, as above
+		t.next = slices.Grow(t.next, m)   //viator:alloc-ok amortized growth, as above
+	}
+	size := len(t.index)
+	for 2*k > size {
+		size *= 2
+	}
+	if size != len(t.index) {
+		t.rehash(size)
+	}
+}
+
+// rehash rebuilds the sparse index at size slots, a power of two.
+//
+//viator:noalloc
+func (t *SPT) rehash(size int) {
+	if cap(t.index) < size {
+		t.index = make([]int32, size) //viator:alloc-ok amortized doubling of the index; a reused tree keeps its capacity
+	}
+	t.index = t.index[:size]
+	clear(t.index)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	mask := uint32(size - 1)
+	for k, v := range t.nodes {
+		s := sptHash(v, t.shift)
+		for t.index[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.index[s] = int32(k + 1)
+	}
+}
+
+// at returns v's index into the state arrays: v itself when dense, its
+// entry when sparse, -1 when a sparse tree has not touched v.
+func (t *SPT) at(v NodeID) int32 {
+	if t.sparse {
+		return t.find(v)
+	}
+	return int32(v)
+}
+
+// Dist returns the path cost from the source to v: final once v is
+// settled, tentative before, +Inf while v is unreached.
+//
+//viator:noalloc
+func (t *SPT) Dist(v NodeID) float64 {
+	if i := t.at(v); i >= 0 {
+		return t.dist[i]
+	}
+	return math.Inf(1)
+}
+
+// Prev returns v's predecessor on its path from the source, or -1 at the
+// source and at unreached nodes.
+//
+//viator:noalloc
+func (t *SPT) Prev(v NodeID) NodeID {
+	if i := t.at(v); i >= 0 {
+		return NodeID(t.prev[i])
+	}
+	return -1
+}
+
+// Touched returns the number of nodes the run has reached so far — those
+// with a finite distance, the source included.
+func (t *SPT) Touched() int { return t.touched }
+
+// Sparse reports whether the tree still keeps its state sparse.
+func (t *SPT) Sparse() bool { return t.sparse }
 
 // SPTScratch is the reusable working memory of a live-graph
 // shortest-path computation: its priority queue. One scratch serves any
@@ -366,7 +614,7 @@ func (g *Graph) ComputeCostsInto(sc *SPTScratch, t *SPT, src NodeID, costs []flo
 type CostOverlay struct {
 	n     int
 	start []int32 // edge range of node u is [start[u], start[u+1])
-	to    []NodeID
+	to    []int32
 	cost  []float64
 }
 
@@ -400,7 +648,7 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 			if c < 0 {
 				panic("topo: negative link cost") //viator:alloc-ok panic path: negative cost is a model bug, never taken in a valid run
 			}
-			o.to = append(o.to, l.To)
+			o.to = append(o.to, int32(l.To))
 			o.cost = append(o.cost, c)
 		}
 	}
@@ -423,19 +671,29 @@ func (o *CostOverlay) ComputeOverlayInto(t *SPT, src NodeID) *SPT {
 }
 
 // BeginInto starts a resumable shortest-path run from src over o in t:
-// it clears the tree, reusing its slices and its own heap, and pushes
-// src. Nothing is settled until SettleTo or Complete runs. The tree keeps
-// a reference to o, which must not be recaptured while the tree is still
-// being settled.
+// it clears the tree to hold only src, reusing its slices and its own
+// heap, and pushes src. The tree starts sparse unless o is too small for
+// that to pay (see sptMinSparse). Nothing is settled until SettleTo or
+// Complete runs. The tree keeps a reference to o, which must not be
+// recaptured while the tree is still being settled.
 //
 //viator:noalloc
 func (o *CostOverlay) BeginInto(t *SPT, src NodeID) *SPT {
 	if t == nil {
 		t = &SPT{} //viator:alloc-ok nil-target convenience path; hot callers pass a reusable *SPT
 	}
-	t.reset(o.n, src)
+	if o.n/sptSparseFraction < sptMinSparse {
+		t.reset(o.n, src)
+	} else {
+		t.resetSparse(src)
+	}
 	t.ov = o
-	t.Dist[src] = 0
+	i := int32(src)
+	if t.sparse {
+		i = t.entries([]int32{i})[0]
+	}
+	t.dist[i] = 0
+	t.touched = 1
 	t.heap = spPush(t.heap, spItem{src, 0})
 	return t
 }
@@ -459,19 +717,29 @@ func (t *SPT) SettleTo(dst NodeID) int {
 // isSettled reports whether the run has settled v: a hop is recorded at
 // settle time for every node but the source, which is settled first.
 func (t *SPT) isSettled(v NodeID) bool {
-	return t.next[v] != -1 || (v == t.Source && t.settled > 0)
+	i := t.at(v)
+	return (i >= 0 && t.next[i] != -1) || (v == t.Source && t.settled > 0)
 }
 
 // Complete runs the tree to exhaustion and returns the number of nodes
-// it settled; on a complete tree it is a no-op.
+// it settled; on a complete tree it is a no-op. A full run reaches every
+// reachable node, so a sparse tree with a frontier left promotes to
+// dense storage first.
 //
 //viator:noalloc
-func (t *SPT) Complete() int { return t.settle(-1) }
+func (t *SPT) Complete() int {
+	if t.sparse && len(t.heap) > 0 {
+		t.promote()
+	}
+	return t.settle(-1)
+}
 
-// settle is the overlay relaxation loop: it pops the frontier, settling
-// each node at its first (cheapest) pop and skipping the stale entries
-// lazy deletion leaves behind, until it has settled stop (never, for -1)
-// or the frontier is empty.
+// settle is the overlay relaxation loop, in either storage mode: it pops
+// the frontier, settling each node at its first (cheapest) pop and
+// skipping the stale entries lazy deletion leaves behind, until it has
+// settled stop (never, for -1) or the frontier is empty. A sparse tree
+// promotes itself before it outgrows its entry limit and carries on
+// dense.
 //
 //viator:noalloc
 func (t *SPT) settle(stop NodeID) int {
@@ -480,36 +748,64 @@ func (t *SPT) settle(stop NodeID) int {
 		return 0
 	}
 	// Hoist every slice the loop touches into locals so the compiler keeps
-	// them in registers across iterations.
-	src, dist, prev, next := t.Source, t.Dist, t.Prev, t.next
+	// them in registers across iterations. In sparse mode a node's state
+	// sits at its entry (find, entries) instead of at its ID; entries may
+	// grow the state arrays, and promotion replaces them.
+	src, dist, prev, next := t.Source, t.dist, t.prev, t.next
 	start, tos, costs := t.ov.start, t.ov.to, t.ov.cost
-	settled := t.settled
+	settled, touched, sparse := t.settled, t.touched, t.sparse
+	limit := t.ov.n / sptSparseFraction
 	for len(h) > 0 {
 		var it spItem
 		h, it = spPop(h)
 		u := it.node
-		if next[u] != -1 || (u == src && settled > 0) {
+		iu := int32(u)
+		if sparse {
+			iu = t.find(u) // present: u was pushed
+		}
+		if next[iu] != -1 || (u == src && settled > 0) {
 			continue // stale entry: u is settled (see isSettled)
 		}
 		// Settle-time next-hop fill: u's predecessor settled before u did
-		// and Prev[u] is final here, so the first hop toward u is an O(1)
+		// and its prev is final here, so the first hop toward u is an O(1)
 		// read off the predecessor's entry.
 		if u != src {
-			if p := prev[u]; p == src {
-				next[u] = int32(u)
+			if p := prev[iu]; p == int32(src) {
+				next[iu] = int32(u)
+			} else if sparse {
+				next[iu] = next[t.find(NodeID(p))]
 			} else {
-				next[u] = next[p]
+				next[iu] = next[p]
 			}
 		}
 		settled++
-		du := dist[u]
-		for e, end := start[u], start[u+1]; e < end; e++ {
-			to := tos[e]
-			nd := du + costs[e]
-			if nd < dist[to] {
-				dist[to] = nd
-				prev[to] = u
-				h = spPush(h, spItem{to, nd})
+		du := dist[iu]
+		lo, hi := start[u], start[u+1]
+		tv, cv := tos[lo:hi], costs[lo:hi]
+		// A sparse tree that would pass its entry limit if all of u's
+		// targets were new promotes first, so it never holds more.
+		if sparse && len(t.nodes)+len(tv) > limit {
+			t.promote()
+			dist, prev, next, sparse = t.dist, t.prev, t.next, false
+		}
+		// Relax u's out-links. at[k] is the index of the k-th target's
+		// state: the target itself when dense; when sparse, its entry,
+		// added first if missing (which may move the state arrays).
+		at := tv
+		if sparse {
+			at = t.entries(tv)
+			dist, prev, next = t.dist, t.prev, t.next
+		}
+		at, cv = at[:len(tv)], cv[:len(tv)]
+		for k, to := range tv {
+			i, nd := at[k], du+cv[k]
+			if nd < dist[i] {
+				if math.IsInf(dist[i], 1) {
+					touched++
+				}
+				dist[i] = nd
+				prev[i] = int32(u)
+				h = spPush(h, spItem{NodeID(to), nd})
 			}
 		}
 		if u == stop {
@@ -517,7 +813,7 @@ func (t *SPT) settle(stop NodeID) int {
 		}
 	}
 	n := settled - t.settled
-	t.heap, t.settled = h, settled
+	t.heap, t.settled, t.touched = h, settled, touched
 	return n
 }
 
@@ -531,12 +827,12 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 	t.reset(g.n, src)
 	// Hoist every slice the relaxation loop touches into locals so the
 	// compiler keeps them in registers across iterations.
-	dist, prev, next, links := t.Dist, t.Prev, t.next, g.link
+	dist, prev, next, links := t.dist, t.prev, t.next, g.link
 	inf := math.Inf(1)
 	h := sc.heap[:0]
 	dist[src] = 0
 	h = spPush(h, spItem{src, 0})
-	settled := 0
+	settled, touched := 0, 1
 	for len(h) > 0 {
 		var it spItem
 		h, it = spPop(h)
@@ -549,7 +845,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 		// read off the predecessor's entry. This is what makes SPT.NextHop
 		// an array lookup instead of a path reconstruction.
 		if u != src {
-			if p := prev[u]; p == src {
+			if p := prev[u]; p == int32(src) {
 				next[u] = int32(u)
 			} else {
 				next[u] = next[p]
@@ -579,23 +875,26 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 			to := links[li].To
 			nd := du + c
 			if nd < dist[to] {
+				if math.IsInf(dist[to], 1) {
+					touched++
+				}
 				dist[to] = nd
-				prev[to] = u
+				prev[to] = int32(u)
 				h = spPush(h, spItem{to, nd})
 			}
 		}
 	}
-	sc.heap, t.settled = h, settled
+	sc.heap, t.settled, t.touched = h, settled, touched
 	return t
 }
 
 // PathTo reconstructs the node sequence src..dst, or nil when unreachable.
 func (t *SPT) PathTo(dst NodeID) []NodeID {
-	if math.IsInf(t.Dist[dst], 1) {
+	if math.IsInf(t.Dist(dst), 1) {
 		return nil
 	}
 	var rev []NodeID
-	for v := dst; v != -1; v = t.Prev[v] {
+	for v := dst; v != -1; v = t.Prev(v) {
 		rev = append(rev, v)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -605,25 +904,17 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 }
 
 // NextHop returns the first hop on the path source→dst, or -1 when dst
-// is the source or unreachable. The hop table is filled at settle time
-// during the Dijkstra run, so this is an O(1) array read on the
-// forwarding hot path (it used to reconstruct and reverse the full path
-// per call — once per hop per packet).
+// is the source, unreachable or not yet settled. The hop table is filled
+// at settle time during the Dijkstra run, so this is an O(1) read on the
+// forwarding hot path: an array read when dense, one index probe when
+// sparse.
 //
 //viator:noalloc
 func (t *SPT) NextHop(dst NodeID) NodeID {
-	if t.next != nil {
-		return NodeID(t.next[dst])
+	if i := t.at(dst); i >= 0 {
+		return NodeID(t.next[i])
 	}
-	// Hand-assembled trees have no hop table; walk the predecessor chain.
-	if math.IsInf(t.Dist[dst], 1) || dst == t.Source {
-		return -1
-	}
-	hop := dst
-	for t.Prev[hop] != t.Source {
-		hop = t.Prev[hop]
-	}
-	return hop
+	return -1
 }
 
 // Reachable returns the set of nodes reachable from src over up links
@@ -645,23 +936,92 @@ func (g *Graph) Reachable(src NodeID) map[NodeID]bool {
 	return seen
 }
 
-// Connected reports whether every node can reach every other node.
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
+// Connected reports whether every node can reach every other node over
+// up links. It allocates its working memory; ConnectedInto reuses it.
+func (g *Graph) Connected() bool { return g.ConnectedInto(&ReachScratch{}) }
+
+// ReachScratch is the reusable working memory of ConnectedInto: the
+// in-link index (up links grouped by target, as CSR), the visited set and
+// the BFS queue. It is not safe for concurrent use.
+type ReachScratch struct {
+	inStart []int32 // in-links of node v come from inFrom[inStart[v]:inStart[v+1]]
+	inFrom  []int32
+	seen    []bool
+	queue   []NodeID
+}
+
+// ConnectedInto is Connected over caller-owned memory: a forward BFS
+// from node 0 over the adjacency, then, only if it reaches every node, a
+// reverse one over an in-link index built in the scratch. Once the
+// scratch has grown to the graph it allocates nothing.
+//
+//viator:noalloc
+func (g *Graph) ConnectedInto(sc *ReachScratch) bool {
+	n := g.n
+	if n == 0 {
 		return true
 	}
-	if len(g.Reachable(0)) != g.n {
+	sc.seen = resize(sc.seen, n) //viator:alloc-ok amortized capacity growth; a reused scratch allocates nothing
+	if g.reach(sc, nil, nil) != n {
 		return false
 	}
-	// For directed graphs also check the reverse orientation.
-	rev := New()
-	rev.AddNodes(g.n)
-	for _, l := range g.link {
-		if l.Up {
-			rev.Connect(l.To, l.From, l.Cost)
+	// Count up links per target, turn the counts into start offsets,
+	// then place each source at its target's next free position.
+	start := resize(sc.inStart, n+1) //viator:alloc-ok amortized capacity growth; a reused scratch allocates nothing
+	clear(start)
+	up := 0
+	for i := range g.link {
+		if l := &g.link[i]; l.Up {
+			start[l.To+1]++
+			up++
 		}
 	}
-	return len(rev.Reachable(0)) == g.n
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	from := resize(sc.inFrom, up) //viator:alloc-ok amortized capacity growth; a reused scratch allocates nothing
+	for i := range g.link {
+		if l := &g.link[i]; l.Up {
+			from[start[l.To]] = int32(l.From)
+			start[l.To]++
+		}
+	}
+	// The placement advanced each start to the next node's; shift back.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	sc.inStart, sc.inFrom = start, from
+	return g.reach(sc, start, from) == n
+}
+
+// reach counts the nodes a BFS from node 0 visits: over up out-links
+// when start is nil, over the in-link index (start, from) otherwise.
+//
+//viator:noalloc
+func (g *Graph) reach(sc *ReachScratch, start, from []int32) int {
+	seen := sc.seen
+	clear(seen)
+	q := append(sc.queue[:0], 0) //viator:alloc-ok amortized queue growth; a reused scratch allocates nothing
+	seen[0] = true
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		if start != nil {
+			for _, v := range from[start[u]:start[u+1]] {
+				if !seen[v] {
+					seen[v] = true
+					q = append(q, NodeID(v)) //viator:alloc-ok amortized queue growth, as above
+				}
+			}
+			continue
+		}
+		for _, li := range g.adj[u] {
+			if l := &g.link[li]; l.Up && !seen[l.To] {
+				seen[l.To] = true
+				q = append(q, l.To) //viator:alloc-ok amortized queue growth, as above
+			}
+		}
+	}
+	sc.queue = q
+	return len(q)
 }
 
 // Components returns the weakly connected components as sorted ID slices.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"viator/internal/allocpin"
 	"viator/internal/sim"
 )
 
@@ -60,11 +61,11 @@ func TestLinkDownHidesNeighbor(t *testing.T) {
 func TestDijkstraRing(t *testing.T) {
 	g := Ring(8)
 	spt := g.Dijkstra(0)
-	if spt.Dist[4] != 4 {
-		t.Fatalf("antipode dist = %v", spt.Dist[4])
+	if spt.Dist(4) != 4 {
+		t.Fatalf("antipode dist = %v", spt.Dist(4))
 	}
-	if spt.Dist[1] != 1 || spt.Dist[7] != 1 {
-		t.Fatalf("adjacent dists %v %v", spt.Dist[1], spt.Dist[7])
+	if spt.Dist(1) != 1 || spt.Dist(7) != 1 {
+		t.Fatalf("adjacent dists %v %v", spt.Dist(1), spt.Dist(7))
 	}
 	p := spt.PathTo(3)
 	if len(p) != 4 || p[0] != 0 || p[3] != 3 {
@@ -80,7 +81,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g.AddNodes(3)
 	g.Connect(0, 1, 1)
 	spt := g.Dijkstra(0)
-	if !math.IsInf(spt.Dist[2], 1) {
+	if !math.IsInf(spt.Dist(2), 1) {
 		t.Fatal("unreachable node has finite dist")
 	}
 	if spt.PathTo(2) != nil {
@@ -98,8 +99,8 @@ func TestDijkstraPicksCheaperLongerPath(t *testing.T) {
 	g.Connect(0, 1, 1)
 	g.Connect(1, 2, 1)
 	spt := g.Dijkstra(0)
-	if spt.Dist[2] != 2 {
-		t.Fatalf("dist = %v", spt.Dist[2])
+	if spt.Dist(2) != 2 {
+		t.Fatalf("dist = %v", spt.Dist(2))
 	}
 	if p := spt.PathTo(2); len(p) != 3 {
 		t.Fatalf("path = %v", p)
@@ -113,7 +114,7 @@ func TestDijkstraRespectsDownLinks(t *testing.T) {
 	li := g.Connect(1, 2, 1)
 	g.SetUp(li, false)
 	spt := g.Dijkstra(0)
-	if !math.IsInf(spt.Dist[2], 1) {
+	if !math.IsInf(spt.Dist(2), 1) {
 		t.Fatal("routed over down link")
 	}
 }
@@ -136,6 +137,65 @@ func TestConnected(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("two-way pair reported disconnected")
 	}
+}
+
+// connectedRef is the partition probe ConnectedInto replaced: map-based
+// reachability over the graph, then over a rebuilt reversed graph.
+func connectedRef(g *Graph) bool {
+	if g.n == 0 {
+		return true
+	}
+	if len(g.Reachable(0)) != g.n {
+		return false
+	}
+	rev := New()
+	rev.AddNodes(g.n)
+	for _, l := range g.link {
+		if l.Up {
+			rev.Connect(l.To, l.From, l.Cost)
+		}
+	}
+	return len(rev.Reachable(0)) == g.n
+}
+
+// TestConnectedIntoMatchesReference checks the scratch-based probe against
+// the replaced implementation on random directed graphs of varying size
+// and density, with one-way links, parallel links and links taken down,
+// reusing one scratch throughout; both answers must occur. Once grown,
+// the scratch makes the probe allocation-free.
+func TestConnectedIntoMatchesReference(t *testing.T) {
+	rng := sim.NewRNG(31)
+	var sc ReachScratch
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		g := New()
+		g.AddNodes(1 + rng.Intn(30))
+		links := rng.Intn(4 * g.N())
+		for k := 0; k < links; k++ {
+			a, b := NodeID(rng.Intn(g.N())), NodeID(rng.Intn(g.N()))
+			if a == b {
+				continue
+			}
+			li := g.Connect(a, b, 1)
+			if rng.Intn(5) == 0 {
+				g.SetUp(li, false)
+			}
+		}
+		want := connectedRef(g)
+		if got := g.ConnectedInto(&sc); got != want {
+			t.Fatalf("trial %d (%d nodes, %d links): ConnectedInto = %v, reference %v", trial, g.N(), g.Links(), got, want)
+		}
+		outcomes[want]++
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Fatalf("outcomes not both exercised: %v", outcomes)
+	}
+	g := Grid(20, 20)
+	g.SetUp(g.LinkBetween(0, 1), false) // one-way: still strongly connected
+	if !g.ConnectedInto(&sc) {
+		t.Fatal("grid with one link down reported disconnected")
+	}
+	allocpin.Zero(t, 50, func() { g.ConnectedInto(&sc) }, "(*Graph).ConnectedInto", "(*Graph).reach")
 }
 
 func TestComponents(t *testing.T) {
@@ -251,16 +311,16 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		g := RandomGeometric(15, 5, 2.5, rng)
 		sptA := g.Dijkstra(0)
-		for b := 1; b < g.N(); b++ {
-			if math.IsInf(sptA.Dist[b], 1) {
+		for b := NodeID(1); int(b) < g.N(); b++ {
+			if math.IsInf(sptA.Dist(b), 1) {
 				continue
 			}
-			sptB := g.Dijkstra(NodeID(b))
-			for c := 0; c < g.N(); c++ {
-				if math.IsInf(sptB.Dist[c], 1) || math.IsInf(sptA.Dist[c], 1) {
+			sptB := g.Dijkstra(b)
+			for c := NodeID(0); int(c) < g.N(); c++ {
+				if math.IsInf(sptB.Dist(c), 1) || math.IsInf(sptA.Dist(c), 1) {
 					continue
 				}
-				if sptA.Dist[c] > sptA.Dist[b]+sptB.Dist[c]+1e-9 {
+				if sptA.Dist(c) > sptA.Dist(b)+sptB.Dist(c)+1e-9 {
 					return false
 				}
 			}

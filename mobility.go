@@ -28,6 +28,7 @@ type Mobility struct {
 	radius float64
 
 	scratch mobility.ConnScratch
+	reach   topo.ReachScratch // the partition probe's working memory
 	pos     []topo.Point
 
 	// Refreshes counts connectivity rebuilds; Partitions counts refreshes
@@ -57,7 +58,7 @@ func (n *Network) EnableMobility(model mobility.Model, radius, period float64) *
 		m.pos = model.StepInto(m.pos, dt)
 		m.LinksUp = m.scratch.RefreshInto(n.G, m.pos, radius)
 		m.Refreshes++
-		if !n.G.Connected() {
+		if !n.G.ConnectedInto(&m.reach) {
 			m.Partitions++
 		}
 		// Re-route: the adaptive tables and on-demand caches are stale.
